@@ -278,8 +278,8 @@ void IngestPipeline::UpdateShedState(Lane& lane) {
   }
 }
 
-uint64_t IngestPipeline::PushRunShedding(Lane& lane,
-                                         std::span<const Record> run) {
+void IngestPipeline::PushRunShedding(Lane& lane,
+                                     std::span<const Record> run) {
   // Counted probabilistic admission: admit one record in admit_one_in,
   // and only if the ring has room RIGHT NOW — a shedding producer never
   // spins. Everything else is shed, and counted.
@@ -295,15 +295,15 @@ uint64_t IngestPipeline::PushRunShedding(Lane& lane,
   }
   lane.enqueued.fetch_add(accepted, std::memory_order_relaxed);
   lane.shed.fetch_add(shed, std::memory_order_relaxed);
-  return accepted;
 }
 
-uint64_t IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
+void IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
   if (config_.shed.enabled &&
       config_.backpressure == BackpressureMode::kBlock) {
     UpdateShedState(lane);
     if (lane.shedding.load(std::memory_order_relaxed)) {
-      return PushRunShedding(lane, run);
+      PushRunShedding(lane, run);
+      return;
     }
   }
   uint64_t accepted = 0;
@@ -330,15 +330,12 @@ uint64_t IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
     std::this_thread::yield();  // kBlock: wait for the worker to drain
   }
   lane.enqueued.fetch_add(accepted, std::memory_order_relaxed);
-  return accepted;
 }
 
 void IngestPipeline::Push(ItemId item, double time) {
   assert(!stopped_ && "Push after Stop()");
   const Record record{item, time};
-  const uint64_t accepted =
-      PushRun(*lanes_[sink_.ShardOf(item)], {&record, 1});
-  MaybeCheckpoint(accepted);
+  PushRun(*lanes_[sink_.ShardOf(item)], {&record, 1});
 }
 
 void IngestPipeline::PushBatch(std::span<const Record> records) {
@@ -347,13 +344,9 @@ void IngestPipeline::PushBatch(std::span<const Record> records) {
   for (const Record& record : records) {
     route_runs_[sink_.ShardOf(record.item)].push_back(record);
   }
-  uint64_t accepted = 0;
   for (uint32_t s = 0; s < lanes_.size(); ++s) {
-    if (!route_runs_[s].empty()) {
-      accepted += PushRun(*lanes_[s], route_runs_[s]);
-    }
+    if (!route_runs_[s].empty()) PushRun(*lanes_[s], route_runs_[s]);
   }
-  MaybeCheckpoint(accepted);
 }
 
 bool IngestPipeline::Flush() {
@@ -399,18 +392,6 @@ bool IngestPipeline::Flush() {
   return complete;
 }
 
-void IngestPipeline::AttachSnapshotStore(SnapshotStore* store) {
-  snapshot_store_ = store;
-  since_checkpoint_ = 0;
-}
-
-void IngestPipeline::MaybeCheckpoint(uint64_t accepted) {
-  since_checkpoint_ += accepted;
-  if (snapshot_store_ == nullptr || config_.checkpoint_every == 0) return;
-  if (since_checkpoint_ < config_.checkpoint_every) return;
-  Checkpoint();  // best-effort; failures are counted, feeding continues
-}
-
 std::string IngestPipeline::StallDetail() const {
   std::string detail;
   for (uint32_t s = 0; s < lanes_.size(); ++s) {
@@ -453,9 +434,6 @@ bool IngestPipeline::CheckpointOnce(std::string* error) {
 bool IngestPipeline::Checkpoint(std::string* error) {
   assert(!stopped_ && "Checkpoint after Stop()");
   const auto start = std::chrono::steady_clock::now();
-  // Reset the cadence even on failure so a persistent fault retries
-  // once per interval instead of once per push.
-  since_checkpoint_ = 0;
   if (snapshot_store_ == nullptr) {
     if (error != nullptr) *error = "no snapshot store attached";
     ++checkpoint_failures_;

@@ -42,13 +42,14 @@
 // below the low watermark. Every shed record is counted
 // (pushed = enqueued + dropped + shed, always).
 //
-// Durability: attach a SnapshotStore and set checkpoint_every to have
-// the pipeline periodically persist the sink — each checkpoint rides
-// the Flush() barrier (flush → serialize → atomic save → resume
-// feeding; workers never restart). Checkpoint attempts retry per
-// `checkpoint_retry` with exponential backoff on the injectable clock,
-// so a transiently stalled flush or failed save heals instead of
-// failing the interval. See docs/DURABILITY.md.
+// Durability: attach a SnapshotStore and call Checkpoint() at whatever
+// cadence the caller keeps (ltc_cli: every --checkpoint-every records)
+// to persist the sink — each checkpoint rides the Flush() barrier
+// (flush → serialize → atomic save → resume feeding; workers never
+// restart). Checkpoint attempts retry per `checkpoint_retry` with
+// exponential backoff on the injectable clock, so a transiently stalled
+// flush or failed save heals instead of failing the interval. See
+// docs/DURABILITY.md.
 //
 // Threading contract: Push / PushBatch / Flush / Stop / Checkpoint must
 // all be called from ONE producer thread. Queries on the ShardedLtc are
@@ -155,10 +156,6 @@ struct IngestConfig {
   /// is a few seconds of real time; tests use tiny values.
   uint64_t stall_yield_limit = 4'000'000;
 
-  /// Auto-checkpoint cadence in accepted records; 0 disables. Only
-  /// effective once a SnapshotStore is attached.
-  uint64_t checkpoint_every = 0;
-
   /// Worker supervision: heartbeat monitoring, restart-on-death/hang,
   /// stall healing.
   SupervisionConfig supervision;
@@ -229,11 +226,11 @@ class IngestPipeline {
   /// nullptr first). Producer thread only.
   void AttachReadSnapshotHub(ReadSnapshotHub* hub) { snapshot_hub_ = hub; }
 
-  /// Attaches the checkpoint sink. The store must outlive the pipeline
-  /// (or be detached with nullptr first). Producer thread only. With
-  /// config.checkpoint_every > 0, a checkpoint is taken automatically
-  /// every that-many accepted records.
-  void AttachSnapshotStore(SnapshotStore* store);
+  /// Attaches the checkpoint sink that Checkpoint() saves into. The
+  /// store must outlive the pipeline (or be detached with nullptr
+  /// first). Producer thread only. The pipeline never checkpoints on
+  /// its own: the caller decides the cadence.
+  void AttachSnapshotStore(SnapshotStore* store) { snapshot_store_ = store; }
 
   /// Takes a checkpoint NOW: Flush(), serialize the sink, atomically
   /// persist it to the attached store — retrying the whole attempt per
@@ -381,14 +378,11 @@ class IngestPipeline {
   // already be joined or moved to zombies_.
   void RestartLane(uint32_t shard_index);
 
-  // Pushes one shard's routed run, honouring backpressure. Returns the
-  // number of records accepted (the rest were dropped or shed).
-  uint64_t PushRun(Lane& lane, std::span<const Record> run);
-  uint64_t PushRunShedding(Lane& lane, std::span<const Record> run);
+  // Pushes one shard's routed run, honouring backpressure; the records
+  // not accepted are counted as dropped or shed.
+  void PushRun(Lane& lane, std::span<const Record> run);
+  void PushRunShedding(Lane& lane, std::span<const Record> run);
   void UpdateShedState(Lane& lane);
-
-  // Auto-checkpoint trigger, called after every accepting push.
-  void MaybeCheckpoint(uint64_t accepted);
 
   // One checkpoint attempt (no counters); Checkpoint() retries it.
   bool CheckpointOnce(std::string* error);
@@ -424,7 +418,6 @@ class IngestPipeline {
 
   // Checkpoint state (producer thread only).
   SnapshotStore* snapshot_store_ = nullptr;
-  uint64_t since_checkpoint_ = 0;
   uint64_t checkpoints_taken_ = 0;
   uint64_t checkpoint_failures_ = 0;
   uint64_t checkpoint_retries_ = 0;

@@ -278,6 +278,19 @@ TEST(CliOptions, AggregationRoleRejections) {
                      &error)
                    .has_value());
   EXPECT_NE(error.find("--threads"), std::string::npos);
+  // The aggregator holds no table of its own: nothing to save, load,
+  // shard or checkpoint, and its metrics are written on exit.
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--save", "ck.bin"},
+        {"--load", "ck.bin"},
+        {"--threads", "2"},
+        {"--checkpoint-every", "100", "--save", "ck.bin"},
+        {"--stats-every", "100", "--metrics-out", "m.prom"}}) {
+    std::vector<std::string> args = {"--aggregate", "--serve", "0"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    EXPECT_FALSE(Parse(args, &error).has_value()) << extra[0];
+    EXPECT_NE(error.find("--aggregate"), std::string::npos) << error;
+  }
   // The cadence is meaningless without a destination.
   EXPECT_FALSE(
       Parse({"--push-every", "1000", "trace.csv"}, &error).has_value());
@@ -410,6 +423,36 @@ TEST(CliOptions, Rejections) {
   EXPECT_FALSE(Parse({"a.csv", "b.csv"}, &error).has_value());
   EXPECT_FALSE(
       Parse({"--alpha", "0", "--beta", "0", "t"}, &error).has_value());
+
+  // Numeric flags: no sign (strtoull would wrap "-1" to 2^64 - 1), no
+  // value past the field's width, no NaN weight.
+  EXPECT_FALSE(Parse({"--k", "-1", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--k", "+5", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--k", " 5", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--periods", "-1", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--periods", "4294967296", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--d", "-3", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--d", "4294967296", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--checkpoint-every", "-5", "--save", "ck.bin", "t"},
+                     &error)
+                   .has_value());
+  EXPECT_FALSE(
+      Parse({"--k", "99999999999999999999", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--memory", "-64K", "t"}, &error).has_value());
+  EXPECT_FALSE(
+      Parse({"--memory", "18014398509481984M", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--alpha", "nan", "t"}, &error).has_value());
+  EXPECT_NE(error.find("alpha"), std::string::npos);
+
+  // One bucket (16 bytes per cell, times d) must fit in --memory: the
+  // table keeps at least one bucket whatever the budget.
+  EXPECT_FALSE(Parse({"--d", "100000000", "t"}, &error).has_value());
+  EXPECT_NE(error.find("--memory"), std::string::npos);
+  EXPECT_FALSE(Parse({"--memory", "64K", "--d", "4097", "t"}, &error)
+                   .has_value());
+  EXPECT_TRUE(Parse({"--memory", "64K", "--d", "4096", "t"}).has_value());
+  EXPECT_TRUE(
+      Parse({"--periods", "4294967295", "--d", "32", "t"}).has_value());
 }
 
 TEST(CliOptions, MemorySizeSuffixes) {

@@ -1,5 +1,5 @@
-// IngestPipeline durability and robustness seams: periodic checkpoints
-// riding the Flush() barrier, the bounded-wait stall escape hatch
+// IngestPipeline durability and robustness seams: checkpoints riding
+// the Flush() barrier, the bounded-wait stall escape hatch
 // (a dead worker surfaces as an error, never an infinite spin), the
 // ShardStatsOf bounds contract, and the queue_depth race repair.
 
@@ -13,7 +13,6 @@
 #include "core/sharded_ltc.h"
 #include "ingest/ingest_pipeline.h"
 #include "ingest/spsc_ring.h"
-#include "snapshot/sketch_snapshot.h"
 #include "snapshot/snapshot_store.h"
 
 namespace ltc {
@@ -50,35 +49,6 @@ class IngestCheckpointTest : public ::testing::Test {
   std::filesystem::path dir_;
   std::string base_;
 };
-
-TEST_F(IngestCheckpointTest, PeriodicCheckpointsFireAtCadence) {
-  ShardedLtc sink(SmallConfig(), 2);
-  IngestConfig config;
-  config.checkpoint_every = 1000;
-  IngestPipeline pipeline(sink, config);
-  SnapshotStore store(base_);
-  pipeline.AttachSnapshotStore(&store);
-
-  const auto records = MakeRecords(5500);
-  for (size_t i = 0; i < records.size(); i += 500) {
-    pipeline.PushBatch({records.data() + i, 500});
-  }
-  // 5500 accepted records at a 1000-record cadence: 5 checkpoints.
-  EXPECT_EQ(pipeline.CheckpointsTaken(), 5u);
-  EXPECT_EQ(pipeline.CheckpointFailures(), 0u);
-  EXPECT_EQ(pipeline.LastCheckpointSeq(), 5u);
-  pipeline.Stop();
-
-  // The newest checkpoint restores to a working sharded table.
-  std::string error;
-  const auto recovered = store.LoadLatest(&error);
-  ASSERT_TRUE(recovered.has_value()) << error;
-  SnapshotError decode_error = SnapshotError::kNone;
-  auto restored = DecodeSketchSnapshot<ShardedLtc>(
-      EncodeFrame(recovered->payload), &decode_error);
-  ASSERT_TRUE(restored.has_value()) << SnapshotErrorName(decode_error);
-  EXPECT_EQ(restored->num_shards(), 2u);
-}
 
 TEST_F(IngestCheckpointTest, ManualCheckpointMatchesSequentialState) {
   // A checkpoint taken mid-stream equals the state of the accepted

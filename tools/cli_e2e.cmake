@@ -55,3 +55,41 @@ execute_process(COMMAND ${LTC_CLI} --k 5 --periods 10 --csv --threads 2
 if(NOT walkback_rc EQUAL 0)
   message(FATAL_ERROR "rotation walk-back failed: ${walkback_rc}")
 endif()
+
+# Single-table rotation: the feed loop owns the cadence for both table
+# kinds, and fires it at every boundary, the last chunk's included. So
+# with a cadence dividing the trace, the newest rotation snapshot holds
+# the whole trace, and the walk-back reports what the intact save does.
+file(GLOB stale_single ${WORK_DIR}/e2e_single.bin*)
+if(stale_single)
+  file(REMOVE ${stale_single})
+endif()
+execute_process(COMMAND ${LTC_CLI} --k 5 --periods 10 --csv
+                --save ${WORK_DIR}/e2e_single.bin --checkpoint-every 1000
+                ${WORK_DIR}/e2e_trace.csv
+                RESULT_VARIABLE single_rc)
+if(NOT single_rc EQUAL 0)
+  message(FATAL_ERROR "ltc_cli --save --checkpoint-every failed: ${single_rc}")
+endif()
+file(GLOB single_rotation ${WORK_DIR}/e2e_single.bin.*.snap)
+if(single_rotation STREQUAL "")
+  message(FATAL_ERROR "single-table --checkpoint-every produced no rotation")
+endif()
+
+execute_process(COMMAND ${LTC_CLI} --k 5 --periods 10 --csv
+                --load ${WORK_DIR}/e2e_single.bin ${WORK_DIR}/e2e_trace.csv
+                OUTPUT_VARIABLE single_loaded RESULT_VARIABLE single_load_rc)
+if(NOT single_load_rc EQUAL 0)
+  message(FATAL_ERROR "ltc_cli --load failed: ${single_load_rc}")
+endif()
+file(REMOVE ${WORK_DIR}/e2e_single.bin)
+execute_process(COMMAND ${LTC_CLI} --k 5 --periods 10 --csv
+                --load ${WORK_DIR}/e2e_single.bin ${WORK_DIR}/e2e_trace.csv
+                OUTPUT_VARIABLE single_walked RESULT_VARIABLE single_walkback_rc)
+if(NOT single_walkback_rc EQUAL 0)
+  message(FATAL_ERROR "single-table walk-back failed: ${single_walkback_rc}")
+endif()
+if(NOT single_walked STREQUAL single_loaded)
+  message(FATAL_ERROR "walk-back did not restore the last boundary's "
+                      "snapshot:\n${single_walked}\nvs\n${single_loaded}")
+endif()

@@ -1,5 +1,7 @@
 #include "cli_options.h"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 namespace ltc {
@@ -11,10 +13,14 @@ bool ParseDoubleArg(const std::string& text, double* out) {
   return end == text.c_str() + text.size() && !text.empty();
 }
 
+// Digits only: strtoull would also take leading blanks and a sign, and
+// wrap "-1" to 2^64 - 1.
 bool ParseU64Arg(const std::string& text, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size() && !text.empty();
+  return end == text.c_str() + text.size() && errno != ERANGE;
 }
 
 }  // namespace
@@ -32,7 +38,10 @@ std::optional<size_t> ParseMemorySize(const std::string& text) {
     digits.pop_back();
   }
   uint64_t value = 0;
-  if (!ParseU64Arg(digits, &value) || value == 0) return std::nullopt;
+  if (!ParseU64Arg(digits, &value) || value == 0 ||
+      value > SIZE_MAX / multiplier) {
+    return std::nullopt;
+  }
   return static_cast<size_t>(value) * multiplier;
 }
 
@@ -111,7 +120,9 @@ options:
   --node-id N       this node's stable identity at the aggregator
                     (>= 1; required with --push-to)
   --aggregate       be the aggregator: accept PUSH_SKETCH, serve the
-                    merged view. Requires --serve; takes no trace.
+                    merged view. Requires --serve; takes no trace and
+                    no --save/--load/--threads/--checkpoint-every/
+                    --stats-every.
                     Sketch shape comes from --memory/--d/--alpha/--beta,
                     which every pusher must match [off]
   --agg-stale-after SEC
@@ -188,7 +199,10 @@ std::optional<CliOptions> ParseCliOptions(
                arg == "--stats-every") {
       if (!next_value(arg, &value)) return std::nullopt;
       uint64_t parsed;
-      if (!ParseU64Arg(value, &parsed) || parsed == 0) {
+      uint64_t max = UINT64_MAX;
+      if (arg == "--threads") max = 256;
+      if (arg == "--periods" || arg == "--d") max = UINT32_MAX;
+      if (!ParseU64Arg(value, &parsed) || parsed == 0 || parsed > max) {
         return fail("bad " + arg + " '" + value + "'");
       }
       if (arg == "--k") options.k = parsed;
@@ -196,10 +210,7 @@ std::optional<CliOptions> ParseCliOptions(
       if (arg == "--d") {
         options.cells_per_bucket = static_cast<uint32_t>(parsed);
       }
-      if (arg == "--threads") {
-        if (parsed > 256) return fail("bad --threads '" + value + "'");
-        options.threads = static_cast<uint32_t>(parsed);
-      }
+      if (arg == "--threads") options.threads = static_cast<uint32_t>(parsed);
       if (arg == "--checkpoint-every") options.checkpoint_every = parsed;
       if (arg == "--stats-every") options.stats_every = parsed;
     } else if (arg == "--no-ltr") {
@@ -291,6 +302,14 @@ std::optional<CliOptions> ParseCliOptions(
       return fail("--aggregate and --push-to are different roles; run one "
                   "process per role");
     }
+    if (!options.save_path.empty() || !options.load_path.empty() ||
+        options.threads != 1 || options.checkpoint_every > 0 ||
+        options.stats_every > 0) {
+      return fail("--aggregate does not take --save, --load, --threads, "
+                  "--checkpoint-every or --stats-every (it holds no table "
+                  "of its own to feed or checkpoint; --metrics-out is "
+                  "written on exit)");
+    }
   } else if (options.trace_path.empty()) {
     return fail("no trace file given (use '-' for stdin)");
   }
@@ -340,8 +359,16 @@ std::optional<CliOptions> ParseCliOptions(
                   "buffer pool)");
     }
   }
-  if (options.alpha == 0.0 && options.beta == 0.0) {
-    return fail("alpha and beta cannot both be 0");
+  if (auto problem = options.ToLtcConfig().Validate()) return fail(*problem);
+  // The table keeps at least one bucket whatever the budget, so a --d
+  // past the budget would allocate d cells regardless.
+  if (LtcConfig::BytesPerCell() * options.cells_per_bucket >
+      options.memory_bytes) {
+    return fail("--d " + std::to_string(options.cells_per_bucket) +
+                " needs a --memory of at least one bucket (" +
+                std::to_string(LtcConfig::BytesPerCell() *
+                               options.cells_per_bucket) +
+                " bytes)");
   }
   if (options.checkpoint_every > 0 && options.save_path.empty() &&
       options.store_dir.empty()) {

@@ -1,15 +1,20 @@
 // ltc_cli — run LTC over a text trace and print the top-k significant
 // items. See CliUsage() / --help for the interface.
 //
-// With --threads N the trace is ingested by an IngestPipeline feeding an
-// N-way ShardedLtc (same total memory budget); reporting is shared with
-// the single-table path through the SignificanceEstimator interface.
+// Every mode but --aggregate runs one feed loop (Feed() below). It cuts
+// the trace into chunks and hands each to the estimator: a single Ltc,
+// an IngestPipeline over an N-way ShardedLtc (--threads N, same total
+// memory budget), or the --store tenants. The loop alone decides when
+// the attached steps fire: publish (--serve), push (--push-every),
+// checkpoint (--checkpoint-every) and metrics (--stats-every).
 //
 // Durability (docs/DURABILITY.md): --save writes a checksummed snapshot
 // frame atomically; --checkpoint-every N additionally rotates mid-run
-// snapshots at <save>.<seq>.snap so a crash loses at most one interval;
-// --load validates the frame (CRC) and, when the exact file is missing
-// or corrupt, recovers by walking back through the rotation.
+// snapshots at <save>.<seq>.snap — a rotation save, or an explicit
+// IngestPipeline::Checkpoint() when sharded, at every N-record boundary
+// — so a crash loses at most one interval; --load validates the frame
+// (CRC) and, when the exact file is missing or corrupt, recovers by
+// walking back through the rotation.
 
 #include <algorithm>
 #include <chrono>
@@ -17,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -25,7 +31,6 @@
 #include <vector>
 
 #include "cli_options.h"
-#include "common/backoff.h"
 #include "common/format.h"
 #include "common/serial.h"
 #include "core/ltc.h"
@@ -54,11 +59,11 @@ namespace ltc {
 namespace {
 
 // Graceful shutdown (SIGINT/SIGTERM): the handler only latches the
-// signal number; the feed loops poll it between chunks, stop pushing,
-// take a final checkpoint (when --checkpoint-every is active), still
-// write --save and the final --metrics-out exposition, and exit with
-// the conventional 128+signo so scripts can tell "interrupted but
-// durable" from a hard kill.
+// signal number; the feed loop polls it between chunks, stops feeding,
+// takes a final checkpoint (when one is configured), still writes
+// --save and the final --metrics-out exposition, and exits with the
+// conventional 128+signo so scripts can tell "interrupted but durable"
+// from a hard kill.
 volatile std::sig_atomic_t g_caught_signal = 0;
 
 void LatchSignal(int signo) { g_caught_signal = signo; }
@@ -107,6 +112,25 @@ std::optional<std::string> LoadCheckpointPayload(const std::string& path) {
                static_cast<unsigned long long>(recovered->seq),
                store.base_path().c_str());
   return recovered->payload;
+}
+
+/// Restores the `Table` a --load checkpoint holds. A checkpoint of the
+/// other table kind is reported with `hint`, the flag change that loads
+/// it.
+template <typename Table>
+std::optional<Table> RestoreTable(const std::string& path, const char* kind,
+                                  const char* hint) {
+  const auto payload = LoadCheckpointPayload(path);
+  if (!payload) return std::nullopt;
+  BinaryReader reader(*payload);
+  auto restored = Table::Deserialize(reader);
+  if (!restored || !reader.AtEnd()) {
+    std::fprintf(stderr,
+                 "ltc_cli: checkpoint '%s' does not hold a %s table (%s)\n",
+                 path.c_str(), kind, hint);
+    return std::nullopt;
+  }
+  return restored;
 }
 
 /// --trace-out: installs the process-wide flight recorder and owns its
@@ -164,56 +188,111 @@ class TraceSession {
   std::optional<telemetry::FlightRecorder> recorder_;
 };
 
-/// ltc_trace_exemplar_duration_usec{span,trace_id}: worst recent span
-/// per name; the trace_id label links the scrape to the span tree in
-/// the flight-recorder dump. Cardinality is bounded by span names ×
-/// distinct worst spans seen at write cadences.
-void PublishTraceExemplars(telemetry::MetricsRegistry& registry,
-                           telemetry::FlightRecorder* recorder) {
-  if (recorder == nullptr) return;
-  for (const auto& exemplar : recorder->WorstSpans()) {
-    char trace_id[32];
-    std::snprintf(trace_id, sizeof(trace_id), "0x%016llx",
-                  static_cast<unsigned long long>(exemplar.trace_id));
-    registry
-        .GaugeOf("ltc_trace_exemplar_duration_usec",
-                 "Worst recent span duration per name; trace_id links "
-                 "to the flight-recorder dump.",
-                 {{"span", exemplar.name}, {"trace_id", trace_id}})
-        .Set(static_cast<double>(exemplar.duration_usec));
+/// --metrics-out (docs/TELEMETRY.md): the process's one metrics
+/// registry. Every layer attaches to registry() (nullptr when off);
+/// Write() renders the exposition atomically — at each --stats-every
+/// cadence and on exit.
+class MetricsOut {
+ public:
+  MetricsOut(const std::string& path, TraceSession& trace_session)
+      : path_(path), trace_session_(trace_session) {
+    if (!path_.empty()) {
+      telemetry::RegisterBuildInfo(registry_,
+                                   ProbeBackendName(ActiveProbeBackend()));
+    }
   }
+
+  telemetry::MetricsRegistry* registry() {
+    return path_.empty() ? nullptr : &registry_;
+  }
+
+  /// Writes the exposition to the path (.json = JSON form, else
+  /// Prometheus text); failures are warnings, never fatal.
+  void Write() {
+    if (path_.empty()) return;
+    PublishTraceExemplars();
+    const bool json = path_.size() >= 5 &&
+                      path_.compare(path_.size() - 5, 5, ".json") == 0;
+    const std::string body = json ? telemetry::ExpositionJson(registry_)
+                                  : telemetry::ExpositionText(registry_);
+    std::string write_error;
+    if (!AtomicWriteFile(SystemFs(), path_, body, &write_error)) {
+      std::fprintf(stderr,
+                   "ltc_cli: warning: cannot write metrics '%s': %s\n",
+                   path_.c_str(), write_error.c_str());
+    }
+  }
+
+ private:
+  /// ltc_trace_exemplar_duration_usec{span,trace_id}: worst recent span
+  /// per name; the trace_id label links the scrape to the span tree in
+  /// the flight-recorder dump. Cardinality is bounded by span names ×
+  /// distinct worst spans seen at write cadences.
+  void PublishTraceExemplars() {
+    telemetry::FlightRecorder* recorder = trace_session_.recorder();
+    if (recorder == nullptr) return;
+    for (const auto& exemplar : recorder->WorstSpans()) {
+      char trace_id[32];
+      std::snprintf(trace_id, sizeof(trace_id), "0x%016llx",
+                    static_cast<unsigned long long>(exemplar.trace_id));
+      registry_
+          .GaugeOf("ltc_trace_exemplar_duration_usec",
+                   "Worst recent span duration per name; trace_id links "
+                   "to the flight-recorder dump.",
+                   {{"span", exemplar.name}, {"trace_id", trace_id}})
+          .Set(static_cast<double>(exemplar.duration_usec));
+    }
+  }
+
+  std::string path_;
+  TraceSession& trace_session_;
+  telemetry::MetricsRegistry registry_;
+};
+
+/// Starts the query front end (docs/SERVING.md) on the --serve port and
+/// prints the bound port, which resolves --serve 0; scripts scrape that
+/// line. With an aggregator attached, PUSH_SKETCH frames may use the
+/// raised cap; query frames stay small. nullptr when it cannot start.
+std::unique_ptr<server::QueryServer> StartServer(
+    const CliOptions& options, const ReadSnapshotHub& hub,
+    const server::KeyCodec& codec, uint32_t num_shards,
+    server::AggregatorCore* aggregator, MetricsOut& metrics) {
+  server::QueryServerConfig config;
+  config.port = static_cast<uint16_t>(options.serve_port);
+  if (aggregator != nullptr) {
+    config.max_push_frame_bytes = server::kMaxPushFrameBytes;
+  }
+  auto server =
+      std::make_unique<server::QueryServer>(hub, codec, num_shards, config);
+  server->AttachAggregator(aggregator);  // before Start: the loop reads it
+  if (auto* registry = metrics.registry()) server->AttachMetrics(registry);
+  std::string error;
+  if (!server->Start(&error)) {
+    std::fprintf(stderr, "ltc_cli: cannot serve: %s\n", error.c_str());
+    return nullptr;
+  }
+  std::fprintf(stderr, "ltc_cli: serving on port %u\n",
+               static_cast<unsigned>(server->port()));
+  std::fflush(stderr);
+  return server;
 }
 
-/// Writes the metrics exposition to `path` (.json = JSON form, else
-/// Prometheus text), atomically; failures are warnings, never fatal.
-void WriteMetricsFile(telemetry::MetricsRegistry& registry,
-                      const std::string& path) {
-  const bool json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string body = json ? telemetry::ExpositionJson(registry)
-                                : telemetry::ExpositionText(registry);
-  std::string write_error;
-  if (!AtomicWriteFile(SystemFs(), path, body, &write_error)) {
-    std::fprintf(stderr, "ltc_cli: warning: cannot write metrics '%s': %s\n",
-                 path.c_str(), write_error.c_str());
+/// Blocks until SIGINT/SIGTERM, answering SIGUSR1 dumps meanwhile: the
+/// tail of a --serve run and the whole life of --aggregate.
+void WaitForSignal(TraceSession& trace_session) {
+  while (g_caught_signal == 0) {
+    trace_session.PollDumpSignal();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
 
 /// --aggregate: the aggregation tier (docs/SERVING.md "Aggregation
 /// tier"). No trace is fed; the data arrives as PUSH_SKETCH images from
 /// --push-to nodes, merged idempotently by an AggregatorCore and served
-/// through the same query front end as a single node. Runs until
-/// SIGINT/SIGTERM, like the plain --serve tail.
-int RunAggregator(const CliOptions& options) {
+/// through the same query front end as a single node, until a signal.
+int RunAggregator(const CliOptions& options, TraceSession& trace_session,
+                  MetricsOut& metrics) {
   const LtcConfig config = options.ToLtcConfig();
-  const bool metrics_enabled = !options.metrics_out.empty();
-  telemetry::MetricsRegistry registry;
-  if (metrics_enabled) {
-    telemetry::RegisterBuildInfo(registry,
-                                 ProbeBackendName(ActiveProbeBackend()));
-  }
-  TraceSession trace_session(options.trace_out);
-
   ReadSnapshotHub hub;
   // Seed the hub from this thread BEFORE the server starts: queries
   // that beat the first push see an empty table, and once the event
@@ -222,34 +301,20 @@ int RunAggregator(const CliOptions& options) {
   hub.Publish(std::make_unique<Ltc>(config), 0);
 
   server::AggregatorCore aggregator(config, &hub, options.agg_stale_after);
-  if (metrics_enabled) aggregator.AttachMetrics(&registry);
+  if (auto* registry = metrics.registry()) aggregator.AttachMetrics(registry);
 
   // Pushed sketches carry bare item ids (each pusher's interner is
   // local), so the merged view speaks numeric keys.
   server::NumericKeyCodec codec;
-  server::QueryServerConfig server_config;
-  server_config.port = static_cast<uint16_t>(options.serve_port);
-  // Query frames stay small; only PUSH_SKETCH may use the raised cap.
-  server_config.max_push_frame_bytes = server::kMaxPushFrameBytes;
-  server::QueryServer server(hub, codec, /*num_shards=*/0, server_config);
-  server.AttachAggregator(&aggregator);  // before Start: loop reads it
-  if (metrics_enabled) server.AttachMetrics(&registry);
-  std::string serve_error;
-  if (!server.Start(&serve_error)) {
-    std::fprintf(stderr, "ltc_cli: cannot serve: %s\n", serve_error.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "ltc_cli: serving on port %u\n",
-               static_cast<unsigned>(server.port()));
+  auto server = StartServer(options, hub, codec, /*num_shards=*/0,
+                            &aggregator, metrics);
+  if (server == nullptr) return 1;
   std::fprintf(stderr, "ltc_cli: aggregating (nodes stale after %llu s)\n",
                static_cast<unsigned long long>(options.agg_stale_after));
   std::fflush(stderr);
 
-  while (g_caught_signal == 0) {
-    trace_session.PollDumpSignal();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  server.Stop();
+  WaitForSignal(trace_session);
+  server->Stop();
   std::fprintf(
       stderr,
       "ltc_cli: aggregated %llu merge(s) from %zu node(s) (%llu "
@@ -257,64 +322,36 @@ int RunAggregator(const CliOptions& options) {
       static_cast<unsigned long long>(aggregator.merges_total()),
       aggregator.num_nodes(),
       static_cast<unsigned long long>(aggregator.rejects_total()),
-      static_cast<unsigned long long>(server.TotalRequests()));
-  if (metrics_enabled) {
-    PublishTraceExemplars(registry, trace_session.recorder());
-    WriteMetricsFile(registry, options.metrics_out);
-  }
+      static_cast<unsigned long long>(server->TotalRequests()));
+  metrics.Write();
   return 128 + static_cast<int>(g_caught_signal);
 }
 
-// --store: the paged multi-tenant store mode (docs/DURABILITY.md
-// "Paged store, WAL, and incremental checkpoints"). Records shard to
-// --tenants sketches by item id; each tenant lives in the crash-safe
-// SketchStore at --store DIR behind a buffer pool of --mem-budget
-// bytes, so total sketch bytes may exceed RAM. Every chunk boundary is
-// a Put through the WAL; --checkpoint-every N adds an incremental
-// checkpoint (write back dirty pages, truncate the log) every N
-// records. Reopening with the same DIR recovers every tenant — WAL
-// replay included — and resumes feeding on top of the restored state.
-int RunStore(const CliOptions& options) {
-  TraceSession trace_session(options.trace_out);
-
-  // 1. Load the trace (file or stdin), exactly like the plain run.
-  std::string error;
-  std::optional<TraceReadResult> trace;
-  if (options.trace_path == "-") {
-    std::string text((std::istreambuf_iterator<char>(std::cin)),
-                     std::istreambuf_iterator<char>());
-    trace = ReadTraceFromString(text, options.periods, options.duration,
-                                &error);
-  } else {
-    trace = ReadTrace(options.trace_path, options.periods, options.duration,
-                      &error);
-  }
-  if (!trace) {
-    std::fprintf(stderr, "ltc_cli: %s\n", error.c_str());
-    return 1;
-  }
-  const Stream& stream = trace->stream;
-
-  LtcConfig config = options.ToLtcConfig();
-  config.period_seconds = stream.duration() / stream.num_periods();
-
-  // 2. Open (and crash-recover) the store. The directory is created on
-  // first use; an existing one restores its tenants below.
+/// --store: opens (and crash-recovers) the paged multi-tenant store at
+/// --store DIR (docs/DURABILITY.md "Paged store, WAL, and incremental
+/// checkpoints") and fills `tenants` with its --tenants tables: each
+/// restored one keeps its own geometry (mismatched flags surface as the
+/// store's typed geometry error on the first Put); a new one gets
+/// `config`. nullptr on failure, already reported.
+std::unique_ptr<store::SketchStore> OpenStore(const CliOptions& options,
+                                              const LtcConfig& config,
+                                              std::vector<Ltc>* tenants) {
   std::error_code ec;
   std::filesystem::create_directories(options.store_dir, ec);
   if (ec) {
     std::fprintf(stderr, "ltc_cli: cannot create store '%s': %s\n",
                  options.store_dir.c_str(), ec.message().c_str());
-    return 1;
+    return nullptr;
   }
   store::SketchStoreOptions store_options;
   store_options.mem_budget_bytes = options.mem_budget_bytes;
+  std::string error;
   auto store = store::SketchStore::Open(SystemFs(), options.store_dir,
                                         store_options, &error);
   if (store == nullptr) {
     std::fprintf(stderr, "ltc_cli: cannot open store '%s': %s\n",
                  options.store_dir.c_str(), error.c_str());
-    return 1;
+    return nullptr;
   }
   const store::RecoveryReport& recovery = store->recovery();
   if (recovery.wal_found) {
@@ -326,169 +363,98 @@ int RunStore(const CliOptions& options) {
                  static_cast<unsigned long long>(recovery.deltas_stale),
                  recovery.torn_tail ? ", torn tail truncated" : "");
   }
-
-  const bool metrics_enabled = !options.metrics_out.empty();
-  telemetry::MetricsRegistry registry;
-  if (metrics_enabled) {
-    telemetry::RegisterBuildInfo(registry,
-                                 ProbeBackendName(ActiveProbeBackend()));
-    store->AttachMetrics(&registry);
-  }
-  auto write_metrics = [&] {
-    if (!metrics_enabled) return;
-    PublishTraceExemplars(registry, trace_session.recorder());
-    WriteMetricsFile(registry, options.metrics_out);
-  };
-
-  // 3. Build or restore the tenant tables. A restored tenant keeps its
-  // own geometry; mismatched flags surface as the store's typed
-  // geometry error on the first Put.
-  const uint64_t tenants = options.tenants;
-  std::vector<Ltc> tables;
-  tables.reserve(tenants);
+  tenants->reserve(options.tenants);
   uint64_t restored = 0;
-  for (uint64_t t = 0; t < tenants; ++t) {
-    if (store->Contains(t)) {
-      auto loaded = store->Get(t, &error);
-      if (!loaded.has_value()) {
-        std::fprintf(stderr, "ltc_cli: cannot restore tenant %llu: %s\n",
-                     static_cast<unsigned long long>(t), error.c_str());
-        return 1;
-      }
-      tables.push_back(std::move(*loaded));
-      ++restored;
-    } else {
-      tables.emplace_back(config);
+  for (uint64_t t = 0; t < options.tenants; ++t) {
+    if (!store->Contains(t)) {
+      tenants->emplace_back(config);
+      continue;
     }
+    auto loaded = store->Get(t, &error);
+    if (!loaded.has_value()) {
+      std::fprintf(stderr, "ltc_cli: cannot restore tenant %llu: %s\n",
+                   static_cast<unsigned long long>(t), error.c_str());
+      return nullptr;
+    }
+    tenants->push_back(std::move(*loaded));
+    ++restored;
   }
   if (restored > 0) {
     std::fprintf(stderr, "ltc_cli: restored %llu of %llu tenant(s) from "
                  "'%s'\n",
                  static_cast<unsigned long long>(restored),
-                 static_cast<unsigned long long>(tenants),
+                 static_cast<unsigned long long>(options.tenants),
                  options.store_dir.c_str());
   }
-
-  // 4. Feed: each chunk boundary is a quiescent barrier — the touched
-  // tenants are Put through the WAL, so a kill at any moment loses at
-  // most the current chunk.
-  const std::span<const Record> records(stream.records());
-  size_t chunk = std::min<size_t>(std::max<size_t>(records.size(), 1), 65536);
-  if (options.checkpoint_every > 0) {
-    chunk = std::min<size_t>(chunk, options.checkpoint_every);
-  }
-  if (options.stats_every > 0) {
-    chunk = std::min<size_t>(chunk, options.stats_every);
-  }
-  uint64_t since_ckpt = 0;
-  uint64_t since_stats = 0;
-  // Record -> tenant via a multiplicative mix, not a bare modulus:
-  // real item ids often share low-bit structure (hashed tokens, even
-  // ids), which would starve whole tenants.
-  auto tenant_of = [tenants](ItemId item) -> uint64_t {
-    return (static_cast<uint64_t>(item) * uint64_t{0x9E3779B97F4A7C15} >>
-            32) % tenants;
-  };
-  std::vector<std::vector<Record>> shards(tenants);
-  for (size_t i = 0; i < records.size(); i += chunk) {
-    if (g_caught_signal != 0) break;
-    trace_session.PollDumpSignal();
-    const size_t n = std::min(chunk, records.size() - i);
-    telemetry::Span chunk_span("ingest.chunk");
-    chunk_span.AddAttr("records", n);
-    for (auto& shard : shards) shard.clear();
-    for (const Record& record : records.subspan(i, n)) {
-      shards[tenant_of(record.item)].push_back(record);
-    }
-    for (uint64_t t = 0; t < tenants; ++t) {
-      if (shards[t].empty()) continue;
-      tables[t].InsertBatch(std::span<const Record>(shards[t]));
-      if (!store->Put(t, tables[t], &error)) {
-        std::fprintf(stderr, "ltc_cli: store put (tenant %llu) failed: %s\n",
-                     static_cast<unsigned long long>(t), error.c_str());
-        return 1;
-      }
-    }
-    since_ckpt += n;
-    since_stats += n;
-    if (options.checkpoint_every > 0 &&
-        since_ckpt >= options.checkpoint_every) {
-      since_ckpt = 0;
-      if (!store->CheckpointDirty(&error)) {
-        std::fprintf(stderr, "ltc_cli: warning: store checkpoint failed: "
-                     "%s\n", error.c_str());
-      }
-    }
-    if (options.stats_every > 0 && since_stats >= options.stats_every) {
-      since_stats = 0;
-      write_metrics();
-    }
-  }
-
-  // 5. Final incremental checkpoint: everything acked is already in
-  // the WAL, so this only writes back dirty pages and truncates the
-  // log — interrupted runs included (the signal means stop feeding,
-  // not stop being durable).
-  if (!store->CheckpointDirty(&error)) {
-    std::fprintf(stderr, "ltc_cli: warning: final store checkpoint "
-                 "failed: %s\n", error.c_str());
-  }
-  const store::SketchStore::Stats& stats = store->stats();
-  std::fprintf(stderr,
-               "ltc_cli: store: %llu put(s) (%llu clean), %llu WAL "
-               "record(s), %llu checkpoint(s), %zu frame(s) resident "
-               "across %zu tenant(s)\n",
-               static_cast<unsigned long long>(stats.puts),
-               static_cast<unsigned long long>(stats.clean_puts),
-               static_cast<unsigned long long>(stats.wal_records),
-               static_cast<unsigned long long>(stats.checkpoints),
-               store->pool().resident(), store->Tenants().size());
-  if (g_caught_signal != 0) {
-    write_metrics();
-    std::fprintf(stderr,
-                 "ltc_cli: interrupted by signal %d; store checkpointed\n",
-                 static_cast<int>(g_caught_signal));
-    return 128 + static_cast<int>(g_caught_signal);
-  }
-
-  // 6. Report: top-k per tenant, on clones so Finalize never touches
-  // the durable tables (a reopened run resumes from un-finalized
-  // state, same as the snapshot paths).
-  write_metrics();
-  auto name_of = [&](ItemId item) -> std::string {
-    if (trace->used_interner) return trace->interner.Name(item);
-    return std::to_string(item);
-  };
-  TextTable report(
-      {"tenant", "item", "frequency", "persistency", "significance"});
-  for (uint64_t t = 0; t < tenants; ++t) {
-    Ltc finalized = tables[t].CloneAtBarrier();
-    finalized.Finalize();
-    for (const auto& r : finalized.TopK(options.k)) {
-      report.AddRow({std::to_string(t), name_of(r.item),
-                     std::to_string(r.frequency),
-                     std::to_string(r.persistency),
-                     FormatMetric(r.significance)});
-    }
-  }
-  if (options.csv) {
-    report.PrintCsv(std::cout);
-  } else {
-    std::printf(
-        "# %zu records, %u periods, %llu tenant(s) in '%s', %s budget\n",
-        stream.size(), stream.num_periods(),
-        static_cast<unsigned long long>(tenants), options.store_dir.c_str(),
-        FormatMemory(options.mem_budget_bytes).c_str());
-    report.Print(std::cout);
-  }
-  return 0;
+  return store;
 }
 
-int Run(const CliOptions& options) {
-  // Tracing first: the recorder must be installed before the first
-  // instrumented seam (snapshot restore below) opens a span.
-  TraceSession trace_session(options.trace_out);
+/// The estimator role as steps the feed loop composes; each mode sets
+/// the ones it has. The loop alone owns every cadence.
+struct FeedSteps {
+  /// Applies one chunk; false = a fatal failure, already reported.
+  std::function<bool(std::span<const Record>)> ingest;
+  /// After every chunk, at its quiescent barrier (the --serve publish).
+  std::function<void(uint64_t fed)> publish;
+  /// At each --push-every boundary.
+  std::function<void(uint64_t fed)> push;
+  /// At each --checkpoint-every boundary and at shutdown. A failed
+  /// checkpoint is a warning: the feed goes on.
+  std::function<bool(std::string* error)> checkpoint;
+  /// At each --stats-every boundary: write the metrics exposition.
+  std::function<void()> stats;
+};
 
+void RunCheckpoint(const FeedSteps& steps, const char* which) {
+  std::string error;
+  if (!steps.checkpoint(&error)) {
+    std::fprintf(stderr, "ltc_cli: warning: %scheckpoint failed: %s\n",
+                 which, error.c_str());
+  }
+}
+
+/// The one feed loop. Chunks are capped at 64K records, so the signal
+/// poll between chunks stays responsive, and at each cadence; every
+/// cadence keeps its own residue counter, so composing them never fires
+/// one early. A cadence step fires at every boundary, the last chunk's
+/// included. Returns false when ingest failed; a signal stops the feed
+/// between chunks and still returns true.
+bool Feed(std::span<const Record> records, const CliOptions& options,
+          const FeedSteps& steps, TraceSession& trace_session) {
+  size_t chunk = 65536;
+  for (const uint64_t every :
+       {options.checkpoint_every, options.push_every, options.stats_every}) {
+    if (every > 0) chunk = std::min<size_t>(chunk, every);
+  }
+  auto due = [](uint64_t every, uint64_t& since, size_t n) {
+    if (every == 0 || (since += n) < every) return false;
+    since = 0;
+    return true;
+  };
+  uint64_t since_push = 0;
+  uint64_t since_checkpoint = 0;
+  uint64_t since_stats = 0;
+  for (size_t fed = 0; fed < records.size() && g_caught_signal == 0;) {
+    trace_session.PollDumpSignal();
+    const size_t n = std::min(chunk, records.size() - fed);
+    // The chunk span is the local root every per-chunk seam —
+    // hub.publish, push.deliver, checkpoint saves — parents under.
+    telemetry::Span chunk_span("ingest.chunk");
+    chunk_span.AddAttr("records", n);
+    if (!steps.ingest(records.subspan(fed, n))) return false;
+    fed += n;
+    if (steps.publish) steps.publish(fed);
+    if (due(options.push_every, since_push, n)) steps.push(fed);
+    if (due(options.checkpoint_every, since_checkpoint, n)) {
+      RunCheckpoint(steps, "");
+    }
+    if (due(options.stats_every, since_stats, n)) steps.stats();
+  }
+  return true;
+}
+
+int Run(const CliOptions& options, TraceSession& trace_session,
+        MetricsOut& metrics) {
   // 1. Load the trace (file or stdin).
   std::string error;
   std::optional<TraceReadResult> trace;
@@ -506,50 +472,40 @@ int Run(const CliOptions& options) {
     return 1;
   }
   const Stream& stream = trace->stream;
+  const std::span<const Record> records(stream.records());
 
-  // 2. Build or restore the sketch. A checkpoint carries its own
-  // config (and, for sharded tables, its own shard count).
+  // 2. Build or restore the estimator: the --store tenants, or one
+  // table — single or sharded. A checkpoint carries its own config
+  // (and, for sharded tables, its own shard count).
   LtcConfig config = options.ToLtcConfig();
   config.period_seconds = stream.duration() / stream.num_periods();
+  std::unique_ptr<store::SketchStore> store;
+  std::vector<Ltc> tenants;
   std::optional<Ltc> table;
   std::optional<ShardedLtc> sharded;
   SignificanceEstimator* estimator = nullptr;
-  if (!options.load_path.empty()) {
-    const auto payload = LoadCheckpointPayload(options.load_path);
-    if (!payload) return 1;
-    if (options.threads > 1) {
-      BinaryReader reader(*payload);
-      auto restored = ShardedLtc::Deserialize(reader);
-      if (!restored || !reader.AtEnd()) {
-        std::fprintf(stderr,
-                     "ltc_cli: checkpoint '%s' does not hold a sharded "
-                     "table (saved without --threads? drop --threads to "
-                     "load it)\n",
-                     options.load_path.c_str());
-        return 1;
-      }
-      if (restored->num_shards() != options.threads) {
-        std::fprintf(stderr,
-                     "ltc_cli: note: checkpoint holds %u shards; using "
-                     "that instead of --threads %u\n",
-                     restored->num_shards(), options.threads);
-      }
-      sharded = std::move(*restored);
-      estimator = &*sharded;
-    } else {
-      BinaryReader reader(*payload);
-      auto restored = Ltc::Deserialize(reader);
-      if (!restored || !reader.AtEnd()) {
-        std::fprintf(stderr,
-                     "ltc_cli: checkpoint '%s' does not hold a single "
-                     "table (saved with --threads? pass --threads N to "
-                     "load it)\n",
-                     options.load_path.c_str());
-        return 1;
-      }
-      table = std::move(*restored);
-      estimator = &*table;
+  if (!options.store_dir.empty()) {
+    store = OpenStore(options, config, &tenants);
+    if (store == nullptr) return 1;
+    store->AttachMetrics(metrics.registry());
+  } else if (!options.load_path.empty() && options.threads > 1) {
+    sharded = RestoreTable<ShardedLtc>(
+        options.load_path, "sharded",
+        "saved without --threads? drop --threads to load it");
+    if (!sharded) return 1;
+    if (sharded->num_shards() != options.threads) {
+      std::fprintf(stderr,
+                   "ltc_cli: note: checkpoint holds %u shards; using "
+                   "that instead of --threads %u\n",
+                   sharded->num_shards(), options.threads);
     }
+    estimator = &*sharded;
+  } else if (!options.load_path.empty()) {
+    table = RestoreTable<Ltc>(
+        options.load_path, "single",
+        "saved with --threads? pass --threads N to load it");
+    if (!table) return 1;
+    estimator = &*table;
   } else if (options.threads > 1) {
     sharded.emplace(config, options.threads);
     estimator = &*sharded;
@@ -558,110 +514,80 @@ int Run(const CliOptions& options) {
     estimator = &*table;
   }
 
-  // Observability (docs/TELEMETRY.md): one registry spans all layers —
-  // core hot-path sinks, ingest pipeline, snapshot store — written to
-  // --metrics-out on exit and at each --stats-every cadence.
-  const bool metrics_enabled = !options.metrics_out.empty();
-  telemetry::MetricsRegistry registry;
-  if (metrics_enabled) {
-    telemetry::RegisterBuildInfo(registry,
-                                 ProbeBackendName(ActiveProbeBackend()));
-  }
 #ifdef LTC_METRICS
-  // One sink per shard (sized once: the tables keep raw pointers).
+  // One core sink per table shard (sized once: the tables keep raw
+  // pointers).
   std::vector<LtcMetricsSink> sinks;
-  if (metrics_enabled) {
-    if (sharded) {
-      sinks.resize(sharded->num_shards());
-      for (uint32_t s = 0; s < sharded->num_shards(); ++s) {
+  if (metrics.registry() != nullptr && estimator != nullptr) {
+    sinks.resize(sharded ? sharded->num_shards() : 1);
+    for (uint32_t s = 0; s < sinks.size(); ++s) {
+      if (sharded) {
         sharded->AttachMetricsSink(s, &sinks[s]);
+      } else {
+        table->AttachMetricsSink(&sinks[s]);
       }
-    } else {
-      sinks.resize(1);
-      table->AttachMetricsSink(&sinks[0]);
     }
   }
 #endif
-
-  // Publishes the core sinks (safe only while the tables are quiescent:
-  // single-threaded feeding, or after IngestPipeline::Flush()/Stop()).
-  auto publish_core = [&] {
+  // Publishes the core sinks and writes the exposition. Safe only while
+  // the tables are quiescent: between chunks, or after a pipeline
+  // Flush()/Stop().
+  auto write_metrics = [&] {
 #ifdef LTC_METRICS
-    for (size_t s = 0; s < sinks.size(); ++s) {
-      const Ltc& shard_table =
-          sharded ? sharded->shard(static_cast<uint32_t>(s)) : *table;
+    for (uint32_t s = 0; s < sinks.size(); ++s) {
+      const Ltc& shard_table = sharded ? sharded->shard(s) : *table;
       telemetry::Labels labels;
       if (sharded) labels = {{"shard", std::to_string(s)}};
       telemetry::PublishLtcSink(
-          registry, sinks[s], labels,
+          *metrics.registry(), sinks[s], labels,
           static_cast<size_t>(shard_table.num_buckets()) *
               shard_table.cells_per_bucket());
     }
 #endif
-  };
-
-  auto write_metrics = [&] {
-    if (!metrics_enabled) return;
-    publish_core();
-    PublishTraceExemplars(registry, trace_session.recorder());
-    WriteMetricsFile(registry, options.metrics_out);
+    metrics.Write();
   };
 
   // Serving (docs/SERVING.md): --serve answers queries over TCP while
   // the trace feeds and keeps answering after it ends, until a signal.
   // Every answer comes from a flush-barrier snapshot published into the
   // hub — the server never touches the live tables.
-  const bool serving = options.serve_port >= 0;
   ReadSnapshotHub hub;
-  // Deep-copies the quiescent sketch into the hub. Call only at
-  // barriers: between chunks single-threaded, or right after a
-  // pipeline Flush (the sharded path publishes via the pipeline's own
-  // hub hook instead, which fires inside Flush()).
-  auto publish_snapshot = [&](uint64_t records_applied) {
-    if (!serving) return;
+  // Deep-copies the quiescent table into the hub: only at barriers.
+  auto publish_clone = [&](uint64_t fed) {
     if (sharded) {
       hub.Publish(std::make_unique<ShardedLtc>(sharded->CloneAtBarrier()),
-                  records_applied);
+                  fed);
     } else {
-      hub.Publish(std::make_unique<Ltc>(table->CloneAtBarrier()),
-                  records_applied);
+      hub.Publish(std::make_unique<Ltc>(table->CloneAtBarrier()), fed);
     }
   };
   server::NumericKeyCodec numeric_codec;
   server::InternerKeyCodec interner_codec(trace->interner);
-  const server::KeyCodec* codec =
-      trace->used_interner
-          ? static_cast<const server::KeyCodec*>(&interner_codec)
-          : &numeric_codec;
-  std::optional<server::QueryServer> server;
+  std::unique_ptr<server::QueryServer> server;
+  const bool serving = options.serve_port >= 0;
   if (serving) {
-    server::QueryServerConfig server_config;
-    server_config.port = static_cast<uint16_t>(options.serve_port);
-    server.emplace(hub, *codec, sharded ? sharded->num_shards() : 0,
-                   server_config);
-    if (metrics_enabled) server->AttachMetrics(&registry);
-    std::string serve_error;
-    if (!server->Start(&serve_error)) {
-      std::fprintf(stderr, "ltc_cli: cannot serve: %s\n", serve_error.c_str());
-      return 1;
-    }
-    // The bound port (resolves --serve 0); scripts scrape this line.
-    std::fprintf(stderr, "ltc_cli: serving on port %u\n",
-                 static_cast<unsigned>(server->port()));
-    std::fflush(stderr);
     // Seed the hub so a --load'ed (or empty) table is servable before
     // the first feed barrier.
-    publish_snapshot(0);
+    publish_clone(0);
+    const server::KeyCodec& codec =
+        trace->used_interner
+            ? static_cast<const server::KeyCodec&>(interner_codec)
+            : numeric_codec;
+    server = StartServer(options, hub, codec,
+                         sharded ? sharded->num_shards() : 0,
+                         /*aggregator=*/nullptr, metrics);
+    if (server == nullptr) return 1;
   }
 
   // Aggregation push (docs/SERVING.md "Aggregation tier"): --push-to
   // ships finalized flush-barrier images to an aggregator, epoch-tagged
-  // so its retries are idempotent there. Option validation pinned
-  // --threads 1, so only the single-table feed loop pushes.
+  // so its retries are idempotent there. Option validation pinned the
+  // single table.
   const bool pushing = !options.push_to.empty();
   std::optional<server::TcpPushTransport> push_transport;
   std::optional<server::SketchPusher> pusher;
   uint64_t push_epoch = 0;
+  uint64_t pushed_through = 0;  // records covered by the newest push
   bool push_enabled = pushing;
   if (pushing) {
     const size_t colon = options.push_to.rfind(':');
@@ -675,13 +601,14 @@ int Run(const CliOptions& options) {
     push_config.propagate_trace = trace_session.active();
     push_transport.emplace();
     pusher.emplace(push_config, &*push_transport);
-    if (metrics_enabled) pusher->AttachMetrics(&registry);
+    if (auto* registry = metrics.registry()) pusher->AttachMetrics(registry);
   }
-  auto push_image = [&](uint64_t records_applied) {
+  auto push_image = [&](uint64_t fed) {
     if (!push_enabled) return;
     Ltc image = table->CloneAtBarrier();
     image.Finalize();
-    const auto result = pusher->Push(image, ++push_epoch, records_applied);
+    pushed_through = fed;
+    const auto result = pusher->Push(image, ++push_epoch, fed);
     if (result.terminal) {
       // A typed rejection (shape mismatch, stale epoch) cannot heal by
       // resending — stop pushing, keep feeding and serving locally.
@@ -700,144 +627,134 @@ int Run(const CliOptions& options) {
     }
   };
 
-  // 3. Feed the stream: parallel pipeline when sharded, the batch fast
-  // path otherwise. With --checkpoint-every, mid-run snapshots rotate
-  // at <save>.<seq>.snap — after a crash, --load walks back to the
-  // newest valid one.
-  std::optional<SnapshotStore> rotation;
-  // Checkpoints ride out transient I/O errors with a short backoff
+  // --checkpoint-every with --save: mid-run snapshots rotate at
+  // <save>.<seq>.snap; after a crash, --load walks back to the newest
+  // valid one. Saves ride out transient I/O errors with a short backoff
   // (docs/DURABILITY.md "Retries and backoff") instead of dropping a
-  // rotation slot on the first EIO.
-  BackoffPolicy save_retry;
-  save_retry.max_attempts = 3;
-  save_retry.initial_delay_usec = 10'000;
-  save_retry.max_delay_usec = 100'000;
-  save_retry.jitter = 0.2;
-  if (options.checkpoint_every > 0) {
-    SnapshotStoreConfig store_config;
-    store_config.retry = save_retry;
-    rotation.emplace(options.save_path, store_config);
-    if (metrics_enabled) rotation->AttachMetrics(&registry);
+  // rotation slot on the first EIO. This is the checkpoint path's only
+  // retry layer, for both table kinds.
+  std::optional<SnapshotStore> rotation;
+  if (options.checkpoint_every > 0 && !options.save_path.empty()) {
+    SnapshotStoreConfig rotation_config;
+    rotation_config.retry.max_attempts = 3;
+    rotation_config.retry.initial_delay_usec = 10'000;
+    rotation_config.retry.max_delay_usec = 100'000;
+    rotation_config.retry.jitter = 0.2;
+    rotation.emplace(options.save_path, rotation_config);
+    rotation->AttachMetrics(metrics.registry());
   }
-  // Chunked feeding so the mid-run hooks — auto-checkpoints and
-  // --stats-every metric rewrites — fire at their cadences instead of
-  // once at the end. Each cadence keeps its own residue counter, so
-  // composing them never fires either one early.
-  const std::span<const Record> records(stream.records());
-  // Cap the chunk so the signal poll between chunks stays responsive
-  // even when no mid-run cadence is configured.
-  size_t chunk = std::min<size_t>(std::max<size_t>(records.size(), 1), 65536);
-  if (options.checkpoint_every > 0) {
-    chunk = std::min<size_t>(chunk, options.checkpoint_every);
-  }
-  if (options.stats_every > 0) {
-    chunk = std::min<size_t>(chunk, options.stats_every);
-  }
-  if (options.push_every > 0) {
-    chunk = std::min<size_t>(chunk, options.push_every);
-  }
-  uint64_t since_stats = 0;
-  uint64_t since_push = 0;
-  if (sharded) {
-    IngestConfig ingest;
-    ingest.checkpoint_every = options.checkpoint_every;
-    ingest.checkpoint_retry = save_retry;
-    IngestPipeline pipeline(*sharded, ingest);
-    if (rotation) pipeline.AttachSnapshotStore(&*rotation);
-    if (metrics_enabled) pipeline.AttachMetrics(&registry);
-    // Serving: the pipeline publishes a hub snapshot inside each
-    // complete Flush(), while the workers are quiescent.
-    if (serving) pipeline.AttachReadSnapshotHub(&hub);
-    for (size_t i = 0; i < records.size(); i += chunk) {
-      if (g_caught_signal != 0) break;
-      trace_session.PollDumpSignal();
-      const size_t n = std::min(chunk, records.size() - i);
-      telemetry::Span chunk_span("ingest.chunk");
-      chunk_span.AddAttr("records", n);
-      pipeline.PushBatch(records.subspan(i, n));
-      if (serving) pipeline.Flush();  // barrier → snapshot publish
-      since_stats += n;
-      if (options.stats_every > 0 && since_stats >= options.stats_every) {
-        since_stats = 0;
-        // Quiesce the workers so the per-shard core sinks are safe to
-        // read (their fields are plain uint64s owned by the worker).
-        pipeline.Flush();
-        pipeline.SampleMetrics();
-        write_metrics();
+
+  // 3. Compose the estimator's steps and feed the stream.
+  FeedSteps steps;
+  steps.stats = write_metrics;
+  std::optional<IngestPipeline> pipeline;
+  std::vector<std::vector<Record>> tenant_runs(tenants.size());
+  if (store) {
+    // Each chunk boundary is a quiescent barrier: the touched tenants
+    // are Put through the WAL, so a kill at any moment loses at most
+    // the current chunk. A checkpoint writes back dirty pages and
+    // truncates the log.
+    steps.ingest = [&](std::span<const Record> chunk) {
+      for (auto& run : tenant_runs) run.clear();
+      // Record -> tenant via a multiplicative mix, not a bare modulus:
+      // real item ids often share low-bit structure (hashed tokens,
+      // even ids), which would starve whole tenants.
+      for (const Record& record : chunk) {
+        const uint64_t t = (static_cast<uint64_t>(record.item) *
+                                uint64_t{0x9E3779B97F4A7C15} >>
+                            32) % tenant_runs.size();
+        tenant_runs[t].push_back(record);
       }
-    }
-    if (g_caught_signal != 0 && rotation) {
-      // Final rotation checkpoint: everything accepted so far becomes
-      // durable before the workers are torn down.
-      std::string ckpt_error;
-      if (!pipeline.Checkpoint(&ckpt_error)) {
-        std::fprintf(stderr,
-                     "ltc_cli: warning: shutdown checkpoint failed: %s\n",
-                     ckpt_error.c_str());
-      }
-    }
-    pipeline.Stop();
-    if (metrics_enabled) pipeline.SampleMetrics();
-    if (pipeline.CheckpointFailures() > 0) {
-      std::fprintf(stderr, "ltc_cli: warning: %llu checkpoint(s) failed\n",
-                   static_cast<unsigned long long>(
-                       pipeline.CheckpointFailures()));
-    }
-  } else {
-    uint64_t since_ckpt = 0;
-    for (size_t i = 0; i < records.size(); i += chunk) {
-      if (g_caught_signal != 0) break;
-      trace_session.PollDumpSignal();
-      const size_t n = std::min(chunk, records.size() - i);
-      // The chunk span is the local root every per-chunk seam —
-      // hub.publish, push.deliver, checkpoint saves — parents under.
-      telemetry::Span chunk_span("ingest.chunk");
-      chunk_span.AddAttr("records", n);
-      estimator->InsertBatch(records.subspan(i, n));
-      publish_snapshot(i + n);  // chunk boundary = a quiescent barrier
-      since_ckpt += n;
-      since_stats += n;
-      since_push += n;
-      if (options.push_every > 0 && since_push >= options.push_every) {
-        since_push = 0;
-        push_image(i + n);
-      }
-      if (rotation && since_ckpt >= options.checkpoint_every &&
-          i + n < records.size()) {
-        since_ckpt = 0;
-        std::string save_error;
-        BinaryWriter writer;
-        table->Serialize(writer);
-        if (!rotation->Save(writer.data(), &save_error)) {
-          std::fprintf(stderr, "ltc_cli: warning: checkpoint failed: %s\n",
-                       save_error.c_str());
+      for (uint64_t t = 0; t < tenants.size(); ++t) {
+        if (tenant_runs[t].empty()) continue;
+        tenants[t].InsertBatch(std::span<const Record>(tenant_runs[t]));
+        if (!store->Put(t, tenants[t], &error)) {
+          std::fprintf(stderr,
+                       "ltc_cli: store put (tenant %llu) failed: %s\n",
+                       static_cast<unsigned long long>(t), error.c_str());
+          return false;
         }
       }
-      if (options.stats_every > 0 && since_stats >= options.stats_every) {
-        since_stats = 0;
-        write_metrics();
-      }
+      return true;
+    };
+    steps.checkpoint = [&](std::string* e) {
+      return store->CheckpointDirty(e);
+    };
+  } else if (sharded) {
+    pipeline.emplace(*sharded);
+    pipeline->AttachMetrics(metrics.registry());
+    steps.ingest = [&](std::span<const Record> chunk) {
+      pipeline->PushBatch(chunk);
+      return true;
+    };
+    if (serving) {
+      // The pipeline publishes a hub snapshot inside each complete
+      // Flush(), while the workers are quiescent.
+      pipeline->AttachReadSnapshotHub(&hub);
+      steps.publish = [&](uint64_t) { pipeline->Flush(); };
     }
-    if (g_caught_signal != 0 && rotation) {
-      std::string save_error;
-      BinaryWriter writer;
-      table->Serialize(writer);
-      if (!rotation->Save(writer.data(), &save_error)) {
-        std::fprintf(stderr,
-                     "ltc_cli: warning: shutdown checkpoint failed: %s\n",
-                     save_error.c_str());
-      }
+    if (rotation) {
+      pipeline->AttachSnapshotStore(&*rotation);
+      steps.checkpoint = [&](std::string* e) {
+        return pipeline->Checkpoint(e);
+      };
     }
+    // Quiesce the workers so the per-shard core sinks are safe to read
+    // (their fields are plain uint64s owned by the worker).
+    steps.stats = [&] {
+      pipeline->Flush();
+      pipeline->SampleMetrics();
+      write_metrics();
+    };
+  } else {
+    steps.ingest = [&](std::span<const Record> chunk) {
+      table->InsertBatch(chunk);
+      return true;
+    };
+    if (serving) steps.publish = publish_clone;
+    if (pushing) steps.push = push_image;
+    if (rotation) {
+      steps.checkpoint = [&](std::string* e) {
+        BinaryWriter writer;
+        table->Serialize(writer);
+        return rotation->Save(writer.data(), e).has_value();
+      };
+    }
+  }
+  if (!Feed(records, options, steps, trace_session)) return 1;
+
+  // Shutdown checkpoint: an interrupted feed makes everything accepted
+  // so far durable before the workers are torn down (the signal means
+  // stop feeding, not stop being durable). The store takes it on every
+  // exit: its checkpoint plays the part of --save.
+  if (steps.checkpoint && (g_caught_signal != 0 || store)) {
+    RunCheckpoint(steps, "final ");
+  }
+  if (pipeline) {
+    pipeline->Stop();
+    pipeline->SampleMetrics();
+  }
+  if (store) {
+    const store::SketchStore::Stats& stats = store->stats();
+    std::fprintf(stderr,
+                 "ltc_cli: store: %llu put(s) (%llu clean), %llu WAL "
+                 "record(s), %llu checkpoint(s), %zu frame(s) resident "
+                 "across %zu tenant(s)\n",
+                 static_cast<unsigned long long>(stats.puts),
+                 static_cast<unsigned long long>(stats.clean_puts),
+                 static_cast<unsigned long long>(stats.wal_records),
+                 static_cast<unsigned long long>(stats.checkpoints),
+                 store->pool().resident(), store->Tenants().size());
   }
 
   // Final push: the whole trace in one cumulative image. Skipped when
   // the cadence already pushed the exact end-of-trace barrier, and on
   // interruption (the signal means stop pushing).
-  if (pushing && g_caught_signal == 0 &&
-      (push_epoch == 0 || since_push > 0)) {
-    push_image(records.size());
-  }
   if (pushing) {
+    if (g_caught_signal == 0 &&
+        (push_epoch == 0 || pushed_through != records.size())) {
+      push_image(records.size());
+    }
     std::fprintf(stderr,
                  "ltc_cli: pushes: %llu delivered in %llu attempt(s) "
                  "(%llu retr%s, %llu rejected)\n",
@@ -851,13 +768,9 @@ int Run(const CliOptions& options) {
   // Serving: the trace is fully fed (or the feed was interrupted) —
   // keep answering queries from the final barrier snapshot until a
   // signal, then drain gracefully: in-flight requests are answered and
-  // every connection gets a clean FIN before the checkpoint/metrics
-  // epilogue below runs.
-  if (serving) {
-    while (g_caught_signal == 0) {
-      trace_session.PollDumpSignal();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+  // every connection gets a clean FIN before the epilogue below runs.
+  if (server) {
+    WaitForSignal(trace_session);
     server->Stop();
     std::fprintf(stderr,
                  "ltc_cli: served %llu request(s) (%llu error(s)), drained\n",
@@ -882,37 +795,67 @@ int Run(const CliOptions& options) {
     }
   }
 
-  // Interrupted run: state is durable (--save and any rotation
-  // checkpoint above), the exposition below is complete, but the
-  // report would cover a truncated stream — skip it and exit with the
-  // conventional interrupted status.
+  // Interrupted run: state is durable (--save, the final checkpoint
+  // above), the exposition below is complete, but the report would
+  // cover a truncated stream — skip it and exit with the conventional
+  // interrupted status.
   if (g_caught_signal != 0) {
     write_metrics();
+    const char* durable = store ? ", store checkpointed"
+                          : options.save_path.empty() ? ""
+                                                      : ", checkpoint saved";
     std::fprintf(stderr,
                  "ltc_cli: interrupted by signal %d; state flushed%s\n",
-                 static_cast<int>(g_caught_signal),
-                 options.save_path.empty() ? "" : ", checkpoint saved");
+                 static_cast<int>(g_caught_signal), durable);
     return 128 + static_cast<int>(g_caught_signal);
   }
-  estimator->Finalize();
-
+  if (estimator != nullptr) estimator->Finalize();
   // Exit-time exposition: every run with --metrics-out leaves a final,
   // complete metrics file even when --stats-every never fired.
   write_metrics();
 
-  // 5. Report.
+  // 5. Report. Store tenants report from finalized clones, so the
+  // durable tables stay un-finalized and a reopened run resumes from
+  // them, as the snapshot paths do.
   auto name_of = [&](ItemId item) -> std::string {
     if (trace->used_interner) return trace->interner.Name(item);
     return std::to_string(item);
   };
-  TextTable report({"item", "frequency", "persistency", "significance"});
-  for (const auto& r : estimator->TopK(options.k)) {
-    report.AddRow({name_of(r.item), std::to_string(r.frequency),
-                   std::to_string(r.persistency),
-                   FormatMetric(r.significance)});
+  std::vector<std::string> header = {"item", "frequency", "persistency",
+                                     "significance"};
+  if (store) header.insert(header.begin(), "tenant");
+  TextTable report(std::move(header));
+  auto add_rows = [&](const SignificanceEstimator& source,
+                      std::vector<std::string> prefix) {
+    for (const auto& r : source.TopK(options.k)) {
+      std::vector<std::string> row = prefix;
+      row.insert(row.end(),
+                 {name_of(r.item), std::to_string(r.frequency),
+                  std::to_string(r.persistency),
+                  FormatMetric(r.significance)});
+      report.AddRow(std::move(row));
+    }
+  };
+  if (store) {
+    for (uint64_t t = 0; t < tenants.size(); ++t) {
+      Ltc finalized = tenants[t].CloneAtBarrier();
+      finalized.Finalize();
+      add_rows(finalized, {std::to_string(t)});
+    }
+  } else {
+    add_rows(*estimator, {});
   }
   if (options.csv) {
     report.PrintCsv(std::cout);
+    return 0;
+  }
+  if (store) {
+    std::printf(
+        "# %zu records, %u periods, %llu tenant(s) in '%s', %s budget\n",
+        stream.size(), stream.num_periods(),
+        static_cast<unsigned long long>(tenants.size()),
+        options.store_dir.c_str(),
+        FormatMemory(options.mem_budget_bytes).c_str());
   } else {
     std::printf("# %zu records, %u periods, %s memory, s = %g*f + %g*p",
                 stream.size(), stream.num_periods(),
@@ -922,8 +865,8 @@ int Run(const CliOptions& options) {
       std::printf(", %u shards", sharded->num_shards());
     }
     std::printf("\n");
-    report.Print(std::cout);
   }
+  report.Print(std::cout);
   return 0;
 }
 
@@ -944,7 +887,12 @@ int main(int argc, char** argv) {
     std::fputs(ltc::CliUsage().c_str(), stdout);
     return 0;
   }
-  if (options->aggregate) return ltc::RunAggregator(*options);
-  if (!options->store_dir.empty()) return ltc::RunStore(*options);
-  return ltc::Run(*options);
+  // Tracing first: the recorder must be installed before the first
+  // instrumented seam (snapshot restore, store recovery) opens a span.
+  ltc::TraceSession trace_session(options->trace_out);
+  ltc::MetricsOut metrics(options->metrics_out, trace_session);
+  if (options->aggregate) {
+    return ltc::RunAggregator(*options, trace_session, metrics);
+  }
+  return ltc::Run(*options, trace_session, metrics);
 }
