@@ -43,30 +43,30 @@ struct EdgeCase {
 };
 
 const EdgeCase kEdgeCases[] = {
-    {"zero_elapsed_burst",
+    {"zero_elapsed_burst_x5",
      {0.0, 0.0, 0.0, 0.0, 0.0},
      5, 1},
     {"same_instant_mid_period",
      {0.7, 0.7, 0.7},
      3, 1},
+    {"boundary_then_zero_elapsed",
+     {1.0, 1.0, 1.0},
+     3, 1},
+    {"regression_within_period",
+     {1.8, 1.2, 0.5},  // both regressors clamp to 1.8
+     3, 1},
+    {"skip_periods_entirely",
+     {0.1, 5.1},  // periods 0 and 5; 1..4 are empty
+     2, 2},
     {"boundary_belongs_to_new_period",
      {0.2, 0.9, 1.0},  // 1.0 / t = period 1 exactly
      3, 2},
     {"every_arrival_on_a_boundary",
      {0.0, 1.0, 2.0, 3.0},
      4, 4},
-    {"boundary_then_zero_elapsed",
-     {1.0, 1.0, 1.0},
-     3, 1},
-    {"skip_periods_entirely",
-     {0.1, 5.1},  // periods 0 and 5; 1..4 are empty
-     2, 2},
     {"regression_clamps_to_latest",
      {2.5, 0.3},  // 0.3 processed as 2.5 — same period, no time travel
      2, 1},
-    {"regression_within_period",
-     {1.8, 1.2, 0.5},  // both regressors clamp to 1.8
-     3, 1},
     {"regression_then_progress",
      {2.5, 0.3, 3.1},  // clamp, then genuinely reach period 3
      3, 2},
