@@ -379,21 +379,6 @@ uint64_t Ltc::EstimatePersistency(ItemId item) const {
   return bucket.cell(static_cast<uint32_t>(probe.match)).counter();
 }
 
-namespace {
-
-void SortAndTruncateReports(std::vector<Ltc::Report>* all, size_t k) {
-  std::sort(all->begin(), all->end(),
-            [](const Ltc::Report& a, const Ltc::Report& b) {
-              if (a.significance != b.significance) {
-                return a.significance > b.significance;
-              }
-              return a.item < b.item;
-            });
-  if (all->size() > k) all->resize(k);
-}
-
-}  // namespace
-
 std::vector<Ltc::Report> Ltc::TopK(size_t k) const {
   std::vector<Report> all;
   const size_t m = table_.num_cells();
@@ -405,7 +390,7 @@ std::vector<Ltc::Report> Ltc::TopK(size_t k) const {
           {cell.id(), cell.freq(), cell.counter(), SignificanceOf(cell)});
     }
   }
-  SortAndTruncateReports(&all, k);
+  RankReports(&all, k);
   return all;
 }
 
@@ -420,7 +405,7 @@ std::vector<Ltc::Report> Ltc::ItemsAbove(double threshold) const {
       all.push_back({cell.id(), cell.freq(), cell.counter(), sig});
     }
   }
-  SortAndTruncateReports(&all, all.size());
+  RankReports(&all, all.size());
   return all;
 }
 
@@ -438,7 +423,7 @@ std::vector<Ltc::Report> Ltc::SnapshotTopK(size_t k) const {
     all.push_back({cell.id(), cell.freq(), credited,
                    config_.alpha * cell.freq() + config_.beta * credited});
   }
-  SortAndTruncateReports(&all, k);
+  RankReports(&all, k);
   return all;
 }
 
@@ -484,67 +469,102 @@ bool Ltc::CanMergeWith(const Ltc& other) const {
          config_.deviation_eliminator == other.config_.deviation_eliminator;
 }
 
-bool Ltc::MergeFrom(const Ltc& other) {
-  if (!CanMergeWith(other)) return false;
-  const uint32_t d = config_.cells_per_bucket;
-  // Materialized cell values for the per-bucket merge scratch space (the
-  // only place the old AoS shape survives, as a local working set).
-  struct CellData {
-    ItemId id;
-    uint32_t freq;
-    uint32_t counter;
-    uint8_t flags;
+void Ltc::MergeBucket(uint32_t b, const Ltc& other, MergeScratch& scratch) {
+  BucketView mine = table_.bucket(b);
+  ConstBucketView theirs = other.table_.bucket(b);
+  const uint32_t d = mine.size();
+  MergeCell* cells = scratch.cells.data();
+  // cells[i] starts as my cell i, empty or not, so a probe of my ID lane
+  // names the slot a matching cell of theirs adds into. Bucket IDs are
+  // unique (CheckInvariants), so only their cells need matching, and
+  // each matches at most one of mine.
+  for (uint32_t i = 0; i < d; ++i) {
+    ConstCellRef cell = mine.cell(i);
+    cells[i] = {0.0, cell.id(), cell.freq(), cell.counter(), cell.flags()};
+  }
+  uint32_t n = d;
+  for (uint32_t j = 0; j < d; ++j) {
+    ConstCellRef cell = theirs.cell(j);
+    if (cell.id() == 0) continue;
+    const int32_t at = mine.Probe(cell.id()).match;
+    if (at < 0) {
+      cells[n++] = {0.0, cell.id(), cell.freq(), cell.counter(), cell.flags()};
+      continue;
+    }
+    MergeCell& into = cells[at];
+    into.freq += cell.freq();
+    into.counter += cell.counter();
+    into.flags |= cell.flags();
+  }
+  // Keep the d best occupants, ranked by (significance desc, id asc),
+  // each significance computed once. Over unique IDs that order is
+  // strict and total, so the result does not depend on input order.
+  const auto before = [](const MergeCell& x, const MergeCell& y) {
+    return x.significance != y.significance ? x.significance > y.significance
+                                            : x.id < y.id;
   };
-  std::vector<CellData> combined;
-  combined.reserve(2 * d);
-  auto significance_of = [this](const CellData& cell) {
-    return config_.alpha * cell.freq + config_.beta * cell.counter;
-  };
-  for (uint32_t b = 0; b < num_buckets_; ++b) {
-    BucketView mine = table_.bucket(b);
-    ConstBucketView theirs = other.table_.bucket(b);
-    combined.clear();
-    auto absorb = [&](ConstCellRef cell) {
-      if (cell.id() == 0) return;
-      for (CellData& existing : combined) {
-        if (existing.id == cell.id()) {
-          existing.freq += cell.freq();
-          existing.counter += cell.counter();
-          existing.flags |= cell.flags();
-          return;
-        }
-      }
-      combined.push_back(
-          {cell.id(), cell.freq(), cell.counter(), cell.flags()});
-    };
-    for (uint32_t i = 0; i < d; ++i) absorb(mine.cell(i));
-    for (uint32_t i = 0; i < d; ++i) absorb(theirs.cell(i));
-
-    std::sort(combined.begin(), combined.end(),
-              [&](const CellData& a, const CellData& b2) {
-                double sa = significance_of(a);
-                double sb = significance_of(b2);
-                if (sa != sb) return sa > sb;
-                return a.id < b2.id;
-              });
-    for (uint32_t i = 0; i < d; ++i) {
-      CellRef cell = mine.cell(i);
-      if (i < combined.size()) {
-        cell.set_id(combined[i].id);
-        cell.set_freq(combined[i].freq);
-        cell.set_counter(combined[i].counter);
-        cell.set_flags(combined[i].flags);
-      } else {
-        cell.Clear();
-      }
+  uint32_t* order = scratch.order.data();
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    MergeCell& cell = cells[i];
+    if (cell.id == 0) continue;
+    cell.significance = config_.alpha * cell.freq + config_.beta * cell.counter;
+    if (kept == d && !before(cell, cells[order[d - 1]])) continue;
+    uint32_t pos = kept < d ? kept++ : d - 1;
+    for (; pos > 0 && before(cell, cells[order[pos - 1]]); --pos) {
+      order[pos] = order[pos - 1];
+    }
+    order[pos] = i;
+  }
+  for (uint32_t i = 0; i < d; ++i) {
+    CellRef cell = mine.cell(i);
+    if (i < kept) {
+      const MergeCell& from = cells[order[i]];
+      cell.set_id(from.id);
+      cell.set_freq(from.freq);
+      cell.set_counter(from.counter);
+      cell.set_flags(from.flags);
+    } else {
+      cell.Clear();
     }
   }
+}
+
+void Ltc::MergeScalarsFrom(const Ltc& other) {
   // Summed counters can legitimately span both inputs' histories; widen
   // the per-table persistency cap accordingly (see CheckInvariants).
   merged_history_periods_ += other.current_period_ +
                              other.merged_history_periods_ + 1;
   current_period_ = std::max(current_period_, other.current_period_);
+}
+
+bool Ltc::MergeFrom(const Ltc& other) {
+  if (!CanMergeWith(other)) return false;
+  MergeScratch scratch(config_.cells_per_bucket);
+  for (uint32_t b = 0; b < num_buckets_; ++b) MergeBucket(b, other, scratch);
+  MergeScalarsFrom(other);
   return true;
+}
+
+void Ltc::RefoldBuckets(std::span<const Ltc* const> sources,
+                        std::span<const uint32_t> buckets) {
+  MergeScratch scratch(config_.cells_per_bucket);
+  for (uint32_t b : buckets) {
+    BucketView bucket = table_.bucket(b);
+    for (uint32_t i = 0; i < bucket.size(); ++i) bucket.cell(i).Clear();
+    for (const Ltc* source : sources) MergeBucket(b, *source, scratch);
+  }
+  current_period_ = 0;
+  merged_history_periods_ = 0;
+  for (const Ltc* source : sources) MergeScalarsFrom(*source);
+}
+
+std::vector<uint32_t> Ltc::ChangedBuckets(const Ltc& other) const {
+  std::vector<uint32_t> changed;
+  for (uint32_t b = 0; b < num_buckets_; ++b) {
+    if (!table_.SameBucket(other.table_, b)) changed.push_back(b);
+  }
+  return changed;
 }
 
 namespace {
@@ -578,12 +598,13 @@ void Ltc::Serialize(BinaryWriter& writer) const {
   writer.PutDouble(last_time_);
   writer.PutU64(merged_history_periods_);
 
-  const size_t m = table_.num_cells();
-  writer.PutU64(m);
-  for (size_t i = 0; i < m; ++i) writer.PutU64(table_.cell(i).id());
-  for (size_t i = 0; i < m; ++i) writer.PutU32(table_.cell(i).freq());
-  for (size_t i = 0; i < m; ++i) writer.PutU32(table_.cell(i).counter());
-  for (size_t i = 0; i < m; ++i) writer.PutU8(table_.cell(i).flags());
+  // One bulk copy per lane: the lanes are the v3 image, in the host's
+  // byte order exactly as PutU64/PutU32/PutU8 would write them.
+  writer.PutU64(table_.num_cells());
+  writer.PutBytes(table_.ids().data(), table_.ids().size_bytes());
+  writer.PutBytes(table_.freqs().data(), table_.freqs().size_bytes());
+  writer.PutBytes(table_.counters().data(), table_.counters().size_bytes());
+  writer.PutBytes(table_.flags().data(), table_.flags().size_bytes());
 }
 
 std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {
@@ -651,18 +672,11 @@ std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {
       cell.set_flags(reader.GetU8());
     }
   } else {
-    for (uint64_t i = 0; i < num_cells; ++i) {
-      table.table_.cell(i).set_id(reader.GetU64());
-    }
-    for (uint64_t i = 0; i < num_cells; ++i) {
-      table.table_.cell(i).set_freq(reader.GetU32());
-    }
-    for (uint64_t i = 0; i < num_cells; ++i) {
-      table.table_.cell(i).set_counter(reader.GetU32());
-    }
-    for (uint64_t i = 0; i < num_cells; ++i) {
-      table.table_.cell(i).set_flags(reader.GetU8());
-    }
+    TableLayout& lanes = table.table_;
+    reader.GetBytes(lanes.ids().data(), lanes.ids().size_bytes());
+    reader.GetBytes(lanes.freqs().data(), lanes.freqs().size_bytes());
+    reader.GetBytes(lanes.counters().data(), lanes.counters().size_bytes());
+    reader.GetBytes(lanes.flags().data(), lanes.flags().size_bytes());
   }
   table.ResetClockStepper();
   if (reader.failed() || !table.CheckInvariants()) return std::nullopt;

@@ -252,6 +252,22 @@ class Ltc final : public SignificanceEstimator {
   /// aggregation tier surfaces as a typed response, never UB.
   [[nodiscard]] bool MergeFrom(const Ltc& other);
 
+  /// The aggregation tier's incremental fold (server/aggregator.h).
+  /// Precondition: this table equals a fresh Ltc(config()) folded with
+  /// MergeFrom over a list of tables that differs from `sources` only in
+  /// the cells of `buckets`. Afterwards it equals the fold over
+  /// `sources`: MergeFrom is bucket-local, so each listed bucket is
+  /// refolded from empty across every source in order, the rest are
+  /// already right, and the table scalars MergeFrom accumulates (period,
+  /// merged history) are recomputed from all sources. Every source must
+  /// satisfy CanMergeWith(*this).
+  void RefoldBuckets(std::span<const Ltc* const> sources,
+                     std::span<const uint32_t> buckets);
+
+  /// The buckets whose cells differ, lane by lane, between this table
+  /// and `other`, ascending. `other` must satisfy CanMergeWith(*this).
+  std::vector<uint32_t> ChangedBuckets(const Ltc& other) const;
+
 #ifdef LTC_AUDIT
   /// Attaches a ground-truth oracle for the after-insert audit hook (see
   /// core/audit.h). The oracle must outlive the table and must observe
@@ -312,6 +328,29 @@ class Ltc final : public SignificanceEstimator {
   void PlaceItem(BucketView bucket, uint32_t cell_index, ItemId item);
 
   uint32_t BucketOf(ItemId item) const;
+
+  /// One cell of the merge scratch, its significance computed once.
+  struct MergeCell {
+    double significance;
+    ItemId id;
+    uint32_t freq;
+    uint32_t counter;
+    uint8_t flags;
+  };
+  /// Fixed working space of the merge kernel, allocated once per fold.
+  struct MergeScratch {
+    explicit MergeScratch(uint32_t d) : cells(2 * size_t{d}), order(d) {}
+    std::vector<MergeCell> cells;  // my d cells, then their unmatched
+    std::vector<uint32_t> order;   // ranked indices into cells, best first
+  };
+
+  /// The bucket-merge kernel behind MergeFrom and RefoldBuckets: folds
+  /// bucket b of `other` into bucket b of this table (matching IDs add
+  /// their fields, the d most significant occupants stay).
+  void MergeBucket(uint32_t b, const Ltc& other, MergeScratch& scratch);
+
+  /// The table-scalar half of MergeFrom: period and merged history.
+  void MergeScalarsFrom(const Ltc& other);
 
   /// Recomputes the count-based CLOCK stepper (the Bresenham state
   /// below) from items_seen_; called on construction and deserialize.

@@ -59,14 +59,7 @@ std::vector<Ltc::Report> ShardedLtc::TopK(size_t k) const {
   for (const Ltc& shard : shards_) {
     for (const auto& report : shard.TopK(k)) all.push_back(report);
   }
-  std::sort(all.begin(), all.end(),
-            [](const Ltc::Report& a, const Ltc::Report& b) {
-              if (a.significance != b.significance) {
-                return a.significance > b.significance;
-              }
-              return a.item < b.item;
-            });
-  if (all.size() > k) all.resize(k);
+  RankReports(&all, k);
   return all;
 }
 

@@ -21,6 +21,7 @@
 #ifndef LTC_CORE_SIGNIFICANCE_ESTIMATOR_H_
 #define LTC_CORE_SIGNIFICANCE_ESTIMATOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -37,6 +38,28 @@ struct SignificanceReport {
   uint64_t persistency;
   double significance;
 };
+
+/// Orders `reports` by significance, descending, ties broken by item ID
+/// ascending, and keeps the first k. Over distinct items that order is
+/// strict and total, so selecting the top k with std::partial_sort (when
+/// k is below the size) yields exactly the prefix a full sort would.
+inline void RankReports(std::vector<SignificanceReport>* reports, size_t k) {
+  const auto before = [](const SignificanceReport& a,
+                         const SignificanceReport& b) {
+    if (a.significance != b.significance) {
+      return a.significance > b.significance;
+    }
+    return a.item < b.item;
+  };
+  if (k < reports->size()) {
+    std::partial_sort(reports->begin(),
+                      reports->begin() + static_cast<std::ptrdiff_t>(k),
+                      reports->end(), before);
+    reports->resize(k);
+  } else {
+    std::sort(reports->begin(), reports->end(), before);
+  }
+}
 
 class SignificanceEstimator {
  public:

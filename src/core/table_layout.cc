@@ -233,6 +233,21 @@ BucketProbe ProbeIds(const uint64_t* ids, uint32_t d, uint64_t key,
 }
 }  // namespace internal
 
+bool TableLayout::SameBucket(const TableLayout& other, uint32_t b) const {
+  assert(other.num_buckets_ == num_buckets_ &&
+         other.cells_per_bucket_ == cells_per_bucket_);
+  const size_t base = BaseOf(b);
+  const size_t d = cells_per_bucket_;
+  return std::memcmp(ids_.data() + base, other.ids_.data() + base,
+                     d * sizeof(uint64_t)) == 0 &&
+         std::memcmp(freqs_.data() + base, other.freqs_.data() + base,
+                     d * sizeof(uint32_t)) == 0 &&
+         std::memcmp(counters_.data() + base, other.counters_.data() + base,
+                     d * sizeof(uint32_t)) == 0 &&
+         std::memcmp(flags_.data() + base, other.flags_.data() + base, d) ==
+             0;
+}
+
 BucketProbe ConstBucketView::Probe(ItemId key) const {
   return dispatch().fn.load(std::memory_order_relaxed)(ids_, d_, key);
 }

@@ -15,10 +15,10 @@
 // so a bucket's d IDs are one dense 8·d-byte run and the probe becomes a
 // handful of vector compares (SSE2/AVX2, runtime-dispatched, scalar
 // fallback). Callers never index the lanes directly: TableLayout hands
-// out BucketView / CellRef accessors, and Ltc's serialization, audit,
-// merge, clone and CLOCK sweep all go through them — the lane layout is
-// a private detail that can change again without touching ltc.cc's
-// logic.
+// out BucketView / CellRef accessors, and Ltc's audit, merge, clone and
+// CLOCK sweep all go through them. The one exception is serialization,
+// which copies each whole lane in bulk through the lane accessors: the
+// v3 checkpoint image is these four lanes back to back.
 //
 // Probe semantics (identical across every backend, pinned by
 // tests/table_layout_test.cc): `match` is the LOWEST cell index whose ID
@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stream/stream.h"
@@ -232,6 +233,20 @@ class TableLayout {
     return {ids_.data() + index, freqs_.data() + index,
             counters_.data() + index, flags_.data() + index};
   }
+
+  /// Whole lanes, bucket-major, for bulk (de)serialization.
+  std::span<uint64_t> ids() { return ids_; }
+  std::span<uint32_t> freqs() { return freqs_; }
+  std::span<uint32_t> counters() { return counters_; }
+  std::span<uint8_t> flags() { return flags_; }
+  std::span<const uint64_t> ids() const { return ids_; }
+  std::span<const uint32_t> freqs() const { return freqs_; }
+  std::span<const uint32_t> counters() const { return counters_; }
+  std::span<const uint8_t> flags() const { return flags_; }
+
+  /// True iff bucket b holds the same cells, lane for lane, in this
+  /// table and in `other` (which must have the same geometry).
+  bool SameBucket(const TableLayout& other, uint32_t b) const;
 
   /// Software-prefetches bucket b's ID lane (the probe's first touch)
   /// and counter lanes. InsertBatch calls this a few records ahead —

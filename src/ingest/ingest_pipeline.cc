@@ -352,14 +352,35 @@ void IngestPipeline::PushBatch(std::span<const Record> records) {
 bool IngestPipeline::Flush() {
   telemetry::Span span("ingest.flush");
   const auto start = std::chrono::steady_clock::now();
+  // A yield returns at once when no other thread is queued on this
+  // core, so under CPU load the yield budget alone can run out before a
+  // live worker queued on another core is scheduled at all. While the
+  // worker's heartbeat is silent, "descheduled" and "hung" look alike,
+  // and telling them apart is the supervisor's job: a supervised lane
+  // gets at least one hang window of wall time before the wait gives
+  // up, and spends it asleep, so the scheduler can move the worker onto
+  // this core. A worker that heartbeats without draining (suspended)
+  // is judged on the yield budget alone, as is every unsupervised lane.
+  const uint64_t hang_window_usec =
+      config_.supervision.enabled
+          ? config_.supervision.interval_usec * config_.supervision.hang_ticks
+          : 0;
   bool complete = true;
   for (auto& lane : lanes_) {
     const uint64_t target = lane->enqueued.load(std::memory_order_relaxed);
     uint64_t last = lane->drained.load(std::memory_order_acquire);
+    uint64_t beat = lane->heartbeat.load(std::memory_order_acquire);
+    auto progress_at = std::chrono::steady_clock::now();
     uint64_t idle_yields = 0;
     bool lane_complete = true;
     while (last < target) {
-      if (++idle_yields > config_.stall_yield_limit) {
+      if (++idle_yields <= config_.stall_yield_limit) {
+        std::this_thread::yield();
+      } else if (lane->heartbeat.load(std::memory_order_acquire) == beat &&
+                 MicrosSince(progress_at) < hang_window_usec) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(config_.supervision.interval_usec));
+      } else {
         // Bounded wait expired without progress: a dead worker must
         // surface as an error, not an infinite wait.
         stalled_.store(true, std::memory_order_release);
@@ -367,10 +388,11 @@ bool IngestPipeline::Flush() {
         lane_complete = false;
         break;
       }
-      std::this_thread::yield();
       const uint64_t now = lane->drained.load(std::memory_order_acquire);
       if (now != last) {
         last = now;
+        beat = lane->heartbeat.load(std::memory_order_acquire);
+        progress_at = std::chrono::steady_clock::now();
         idle_yields = 0;
       }
     }

@@ -1,6 +1,7 @@
 #include "server/aggregator.h"
 
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/serial.h"
@@ -88,9 +89,15 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
   }
 
   const uint64_t now = clock_->NowMicros();
+  std::vector<uint32_t> changed;
   if (it == nodes_.end()) {
+    // A new node changes every bucket of the fold, wherever its id
+    // sorts among the nodes already folded.
+    changed.resize(reference_.num_buckets());
+    std::iota(changed.begin(), changed.end(), 0u);
     it = nodes_.emplace(push.node_id, NodeState(std::move(*table))).first;
   } else {
+    changed = it->second.sketch.ChangedBuckets(*table);
     it->second.sketch = std::move(*table);
   }
   it->second.last_epoch = push.epoch_seq;
@@ -102,7 +109,7 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
   if (nodes_gauge_ != nullptr) {
     nodes_gauge_->Set(static_cast<double>(nodes_.size()));
   }
-  RebuildAndPublish();
+  RefoldAndPublish(changed);
   Tick();
 
   PushOutcome outcome;
@@ -112,26 +119,26 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
   return outcome;
 }
 
-void AggregatorCore::RebuildAndPublish() {
+void AggregatorCore::RefoldAndPublish(std::span<const uint32_t> changed) {
   telemetry::Span span("agg.republish");
   span.AddAttr("nodes", nodes_.size());
-  Ltc merged(config_);
+  span.AddAttr("buckets", changed.size());
+  std::vector<const Ltc*> sources;
+  sources.reserve(nodes_.size());
   uint64_t records = 0;
   for (const auto& [node_id, node] : nodes_) {
-    // Shapes were checked at apply time, so the fold cannot fail; a
-    // false here would mean the aggregate config itself changed.
-    bool ok = merged.MergeFrom(node.sketch);
-    (void)ok;
+    sources.push_back(&node.sketch);
     records += node.records;
   }
-  merged_ = merged;
+  // Shapes were checked at apply time, so every source can merge.
+  merged_.RefoldBuckets(sources, changed);
   has_merged_ = true;
   total_records_ = records;
   if (hub_ != nullptr) {
     // Best-effort publish: a straggling reader may pin the stale slot,
     // in which case the previous merged image simply stays current and
     // the next push republishes (the hub never blocks its publisher).
-    hub_->Publish(std::make_unique<Ltc>(std::move(merged)), records);
+    hub_->Publish(std::make_unique<Ltc>(merged_), records);
   }
 }
 

@@ -12,11 +12,21 @@
 //     a barrier, not a delta, so applying a push is "replace this
 //     node's contribution", never "add to it". Replays cannot
 //     double-count.
-//   * The merged aggregate is recomputed by folding the per-node images
-//     in node_id order. The result is a pure function of {newest image
+//   * The merged aggregate is the fold of the per-node images in
+//     node_id order. The result is a pure function of {newest image
 //     per node}, so it is bit-identical no matter how many times a push
 //     was retried or in what order nodes' pushes interleaved (pinned by
 //     tests/aggregation_chaos_test.cc).
+//
+// Cost: MergeFrom is bucket-local, so aggregate bucket b depends only on
+// each node's bucket b. An applied push therefore refolds, across every
+// node in order, only the buckets where the new image differs from the
+// node's previous one (all of them for a node's first push), and keeps
+// the rest of the persistent aggregate. The result is the same bytes a
+// full refold would give (pinned by tests/aggregation_test.cc). Over
+// loopback the merge work, not the network hop, dominates a push:
+// mostly the refold, then the deserialize, the bucket diff and the copy
+// for the hub (ledger in docs/PERF.md "Aggregator push path").
 //
 // Epoch rules, per node: epoch_seq must be >= 1 and is compared against
 // the newest applied epoch. Newer → applied; equal → acknowledged as a
@@ -40,6 +50,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,10 +122,11 @@ class AggregatorCore {
   };
 
   PushOutcome Reject(Status status, std::string detail);
-  /// Refolds nodes_ into merged_ and republishes. The rebuild makes the
-  /// aggregate a pure function of the node images (see file comment);
-  /// per-push cost is O(nodes × table), dwarfed by the network hop.
-  void RebuildAndPublish();
+  /// Refolds the `changed` buckets of merged_ across nodes_ and
+  /// publishes a copy. Per-push cost is O(nodes × changed buckets) for
+  /// the fold plus O(table) for the copy; the aggregate stays a pure
+  /// function of the node images (see file comment).
+  void RefoldAndPublish(std::span<const uint32_t> changed);
   uint64_t AgeSecOf(const NodeState& node, uint64_t now_usec) const;
 
   const LtcConfig config_;

@@ -66,26 +66,41 @@ std::string EncodeFrame(std::string_view payload) {
   return frame;
 }
 
-std::optional<std::string> FrameParser::Next() {
-  if (oversized_ || buffer_.size() < 4) return std::nullopt;
-  uint32_t length = 0;
-  std::memcpy(&length, buffer_.data(), 4);
-  if (length > max_frame_bytes_) {
+FrameParser::Head FrameParser::JudgeHead(uint32_t* length) const {
+  if (oversized_) return Head::kOversized;
+  if (buffer_.size() < 4) return Head::kIncomplete;
+  std::memcpy(length, buffer_.data(), 4);
+  if (*length > max_frame_bytes_) {
     // Above the query cap: only a PUSH_SKETCH frame may be this large,
     // and only when the parser was configured with a push cap. The
     // opcode is payload byte 0 — wait for it before judging.
-    if (length > max_push_frame_bytes_) {
-      oversized_ = true;
-      return std::nullopt;
-    }
-    if (buffer_.size() < 5) return std::nullopt;
+    if (*length > max_push_frame_bytes_) return Head::kOversized;
+    if (buffer_.size() < 5) return Head::kIncomplete;
     if (static_cast<uint8_t>(buffer_[4]) !=
         static_cast<uint8_t>(Opcode::kPushSketch)) {
-      oversized_ = true;
-      return std::nullopt;
+      return Head::kOversized;
     }
   }
-  if (buffer_.size() < 4 + static_cast<size_t>(length)) return std::nullopt;
+  return buffer_.size() < 4 + static_cast<size_t>(*length) ? Head::kIncomplete
+                                                           : Head::kComplete;
+}
+
+bool FrameParser::HasFrame() const {
+  uint32_t length = 0;
+  return JudgeHead(&length) != Head::kIncomplete;
+}
+
+std::optional<std::string> FrameParser::Next() {
+  uint32_t length = 0;
+  switch (JudgeHead(&length)) {
+    case Head::kIncomplete:
+      return std::nullopt;
+    case Head::kOversized:
+      oversized_ = true;
+      return std::nullopt;
+    case Head::kComplete:
+      break;
+  }
   std::string payload = buffer_.substr(4, length);
   buffer_.erase(0, 4 + static_cast<size_t>(length));
   return payload;

@@ -147,9 +147,17 @@ class FrameParser {
   /// True once a declared frame length exceeded the maximum.
   bool oversized() const { return oversized_; }
 
+  /// True when Next() would not wait for more bytes: a whole frame is
+  /// buffered, or the head frame's length already breaks the caps.
+  bool HasFrame() const;
+
   size_t buffered_bytes() const { return buffer_.size(); }
 
  private:
+  enum class Head { kIncomplete, kComplete, kOversized };
+  /// Judges the buffered head frame; sets *length once it is known.
+  Head JudgeHead(uint32_t* length) const;
+
   std::string buffer_;
   size_t max_frame_bytes_;
   size_t max_push_frame_bytes_;

@@ -221,7 +221,11 @@ bool QueryServer::HandleReadable(Conn& conn) {
       }
       conn.last_activity_usec = NowMicros();
       conn.parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
-      if (conn.parser.buffered_bytes() >= sizeof(buf)) break;  // be fair
+      // Be fair: one whole frame per turn, then the other connections
+      // get theirs. The parser caps a frame's length, so the turn is
+      // bounded, and a pushed sketch is read whole rather than in
+      // slices that other connections' queries overtake.
+      if (conn.parser.HasFrame()) break;
       continue;
     }
     if (n == 0) {

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "common/serial.h"
 #include "core/ltc.h"
 #include "core/read_snapshot.h"
@@ -412,6 +414,142 @@ TEST(Aggregator, RepublishesTheMergedViewThroughTheHub) {
       aggregator.ApplyPush(MakePush(1, 2, MakeSketch(config, {42}, 10), 10))
           .applied);
   EXPECT_EQ(hub.PublishedSeq(), 2u);
+}
+
+// --- The changed-bucket refold ---------------------------------------
+
+/// What the incremental refold must reproduce byte for byte: a fresh
+/// table folded with MergeFrom over the newest image of each node, in
+/// node_id order.
+std::string FullFold(const LtcConfig& config,
+                     const std::map<uint64_t, Ltc>& newest) {
+  Ltc fold(config);
+  for (const auto& [node_id, image] : newest) {
+    EXPECT_TRUE(fold.MergeFrom(image));
+  }
+  return SerializeTable(fold);
+}
+
+struct RefoldCase {
+  const char* name;
+  uint32_t cells_per_bucket;
+  bool long_tail_replacement;
+};
+
+class AggregatorRefold : public ::testing::TestWithParam<RefoldCase> {};
+
+TEST_P(AggregatorRefold, EveryPushLeavesTheFullFoldOfTheNewestImages) {
+  LtcConfig config = SmallConfig();
+  config.memory_bytes = 16 * 1024;  // 32 buckets even at d = 32
+  config.cells_per_bucket = GetParam().cells_per_bucket;
+  config.long_tail_replacement = GetParam().long_tail_replacement;
+
+  size_t unchanged_buckets = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 7919 + config.cells_per_bucket);
+    AggregatorCore aggregator(config, nullptr);
+    // Node 9 pushes alone first; the others join later, two of them
+    // with lower ids, so they fold in ahead of images already merged.
+    const std::vector<uint64_t> ids = {9, 2, 12, 5};
+    size_t joined = 1;
+    std::map<uint64_t, Ltc> live;    // each node's growing table
+    std::map<uint64_t, Ltc> newest;  // newest applied image per node
+    std::map<uint64_t, uint64_t> epoch;
+    std::map<uint64_t, std::string> payload;  // of the newest epoch
+    size_t fresh = 0;
+
+    for (int step = 0; step < 60; ++step) {
+      if (joined < ids.size() && rng.Bernoulli(0.15)) ++joined;
+      const uint64_t node = ids[rng.Uniform(joined)];  // any order
+      const bool known = newest.count(node) != 0;
+      const std::string before = aggregator.SerializeMerged();
+      const uint64_t kind = rng.Uniform(10);
+      PushRequest push;
+      push.node_id = node;
+      if (known && kind == 0) {
+        // Duplicate of the applied epoch: acknowledged, not reapplied.
+        push.epoch_seq = epoch[node];
+        push.payload = payload[node];
+        const PushOutcome outcome = aggregator.ApplyPush(push);
+        EXPECT_EQ(outcome.status, Status::kOk);
+        EXPECT_FALSE(outcome.applied);
+        EXPECT_EQ(aggregator.SerializeMerged(), before);
+      } else if (known && kind == 1 && epoch[node] > 1) {
+        // Stale straggler.
+        push.epoch_seq = epoch[node] - 1;
+        push.payload = payload[node];
+        EXPECT_EQ(aggregator.ApplyPush(push).status, Status::kErrStaleEpoch);
+        EXPECT_EQ(aggregator.SerializeMerged(), before);
+      } else if (known && kind == 2) {
+        // Corrupt (truncated) image under a fresh epoch.
+        push.epoch_seq = epoch[node] + 1;
+        push.payload = payload[node].substr(0, payload[node].size() / 2);
+        EXPECT_EQ(aggregator.ApplyPush(push).status, Status::kErrBadSketch);
+        EXPECT_EQ(aggregator.SerializeMerged(), before);
+      } else if (known && kind == 3) {
+        // The same image re-sent under a new epoch: applied, but no
+        // bucket changed, so neither does the aggregate.
+        push.epoch_seq = ++epoch[node];
+        push.payload = payload[node];
+        EXPECT_TRUE(aggregator.ApplyPush(push).applied);
+        EXPECT_EQ(aggregator.SerializeMerged(), before);
+      } else {
+        // A new barrier image: some more records, then the clone the
+        // pusher would ship, now and then unfinalized so the flags lane
+        // differs too.
+        Ltc& table = live.try_emplace(node, config).first->second;
+        const uint64_t records = rng.UniformRange(10, 120);
+        for (uint64_t r = 0; r < records; ++r) {
+          // Overlapping universes, so matching IDs add up in the fold.
+          table.Insert(1 + rng.Uniform(rng.Bernoulli(0.3) ? 30 : 600));
+        }
+        Ltc image = table.CloneAtBarrier();
+        if (rng.Bernoulli(0.7)) image.Finalize();
+        if (known) {
+          unchanged_buckets +=
+              image.num_buckets() - newest.at(node).ChangedBuckets(image).size();
+        }
+        push.epoch_seq = ++epoch[node];
+        push.payload = SerializeTable(image);
+        EXPECT_TRUE(aggregator.ApplyPush(push).applied);
+        payload[node] = push.payload;
+        newest.insert_or_assign(node, std::move(image));
+        ++fresh;
+      }
+      ASSERT_EQ(aggregator.SerializeMerged(), FullFold(config, newest))
+          << "seed " << seed << " step " << step << " node " << node;
+    }
+    EXPECT_EQ(aggregator.num_nodes(), newest.size());
+    EXPECT_GT(fresh, 20u);
+  }
+  // The sequences exercised partial refolds, not only full ones.
+  EXPECT_GT(unchanged_buckets, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, AggregatorRefold,
+    ::testing::Values(RefoldCase{"d1_ltr", 1, true},
+                      RefoldCase{"d1_noltr", 1, false},
+                      RefoldCase{"d8_ltr", 8, true},
+                      RefoldCase{"d8_noltr", 8, false},
+                      RefoldCase{"d32_ltr", 32, true},
+                      RefoldCase{"d32_noltr", 32, false}),
+    [](const ::testing::TestParamInfo<RefoldCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Aggregator, ChangedBucketsNamesOnlyTheBucketsThatDiffer) {
+  const LtcConfig config = SmallConfig();
+  const Ltc base = MakeSketch(config, {1, 2, 3}, 2);
+  EXPECT_TRUE(base.ChangedBuckets(base).empty());
+  EXPECT_TRUE(base.ChangedBuckets(MakeSketch(config, {1, 2, 3}, 2)).empty());
+  // One more arrival of a tracked item moves its frequency and, once
+  // finalized, its persistency: one bucket, nothing else.
+  Ltc grown = base;
+  grown.Insert(1);
+  grown.Finalize();
+  EXPECT_EQ(base.ChangedBuckets(grown).size(), 1u);
+  EXPECT_EQ(grown.ChangedBuckets(base), base.ChangedBuckets(grown));
 }
 
 // --- Dispatcher integration ------------------------------------------

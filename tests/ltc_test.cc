@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/ltc.h"
+#include "core/sharded_ltc.h"
 #include "metrics/ground_truth.h"
 #include "stream/generators.h"
 
@@ -459,6 +461,60 @@ TEST(Ltc, TopKTieBreakIsDeterministic) {
   EXPECT_EQ(top[0].item, 10u);
   EXPECT_EQ(top[1].item, 20u);
   EXPECT_EQ(top[2].item, 30u);
+}
+
+// TopK selects with std::partial_sort when k is below the number of
+// occupied cells. With α = β = 1 and light traffic most significances
+// tie, so the item-ID tiebreak decides the order, and every k must give
+// exactly the first k entries of the full sort.
+void ExpectTopKIsTheFullSortPrefix(const SignificanceEstimator& table) {
+  std::vector<SignificanceReport> full = table.TopK(SIZE_MAX);
+  std::vector<SignificanceReport> resorted = full;
+  std::reverse(resorted.begin(), resorted.end());
+  std::sort(resorted.begin(), resorted.end(),
+            [](const SignificanceReport& a, const SignificanceReport& b) {
+              return a.significance != b.significance
+                         ? a.significance > b.significance
+                         : a.item < b.item;
+            });
+  const size_t m = full.size();
+  ASSERT_GT(m, 100u);
+  size_t ties = 0;
+  for (size_t i = 0; i < m; ++i) {
+    ASSERT_EQ(full[i].item, resorted[i].item) << "rank " << i;
+    if (i > 0 && full[i].significance == full[i - 1].significance) ++ties;
+  }
+  EXPECT_GT(ties, m / 2) << "the id tiebreak should decide most ranks";
+  for (size_t k : {size_t{0}, size_t{1}, size_t{100}, m - 1, m, m + 5}) {
+    const std::vector<SignificanceReport> top = table.TopK(k);
+    ASSERT_EQ(top.size(), std::min(k, m)) << "k=" << k;
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].item, full[i].item) << "k=" << k << " rank " << i;
+      EXPECT_EQ(top[i].frequency, full[i].frequency);
+      EXPECT_EQ(top[i].persistency, full[i].persistency);
+      EXPECT_EQ(top[i].significance, full[i].significance);
+    }
+  }
+}
+
+TEST(Ltc, TopKSelectionEqualsTheFullSortPrefix) {
+  LtcConfig config;
+  config.memory_bytes = 16 * 1024;
+  config.alpha = 1.0;
+  config.beta = 1.0;
+  config.items_per_period = 500;
+  Ltc table(config);
+  ShardedLtc sharded(config, 4);
+  Rng rng(2019);
+  for (int i = 0; i < 3'000; ++i) {
+    const ItemId item = 1 + rng.Uniform(rng.Bernoulli(0.2) ? 40 : 2'000);
+    table.Insert(item);
+    sharded.Insert(item);
+  }
+  table.Finalize();
+  sharded.Finalize();
+  ExpectTopKIsTheFullSortPrefix(table);
+  ExpectTopKIsTheFullSortPrefix(sharded);
 }
 
 TEST(Ltc, MinPlusOnePolicyOverestimatesUnderChurn) {

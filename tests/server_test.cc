@@ -14,17 +14,22 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/serial.h"
 #include "core/ltc.h"
 #include "core/read_snapshot.h"
+#include "server/aggregator.h"
 #include "server/dispatcher.h"
 #include "server/key_codec.h"
 #include "server/protocol.h"
@@ -640,6 +645,94 @@ TEST(QueryServerIdle, IdleConnectionsAreEvictedAndCounted) {
   ASSERT_TRUE(fresh.SendRaw(EncodeFrame(EncodePingRequest())));
   EXPECT_TRUE(fresh.RecvPayload().has_value());
   server.Stop();
+}
+
+// Fairness under a pushed sketch: the loop reads one whole frame per
+// connection per turn. A push frame trickling in over many small writes
+// must not stall a query client that keeps pipelining small frames, and
+// both must be answered, the queries in order.
+TEST(QueryServerAggregator, TricklingPushAndPipelinedQueriesAreBothAnswered) {
+  LtcConfig config = SmallConfig();
+  config.memory_bytes = 64 * 1024;  // a push frame above kMaxFrameBytes
+  // Served before and after the push alike: item i has frequency i.
+  Ltc image(config);
+  for (ItemId item = 1; item <= 10; ++item) {
+    for (ItemId n = 0; n < item; ++n) image.Insert(item);
+  }
+  image.Finalize();
+  ReadSnapshotHub hub;
+  hub.Publish(std::make_unique<Ltc>(image), 55);
+  NumericKeyCodec codec;
+  AggregatorCore aggregator(config, &hub);
+  QueryServerConfig server_config;
+  server_config.max_push_frame_bytes = kMaxPushFrameBytes;
+  QueryServer server(hub, codec, 0, server_config);
+  server.AttachAggregator(&aggregator);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  PushRequest push;
+  push.node_id = 1;
+  push.epoch_seq = 1;
+  push.records = 55;
+  BinaryWriter writer;
+  image.Serialize(writer);
+  push.payload = writer.data();
+  const std::string frame = EncodeFrame(EncodePushRequest(push));
+  ASSERT_GT(frame.size(), kMaxFrameBytes);
+
+  TestClient pusher(server.port());
+  TestClient querier(server.port());
+  ASSERT_TRUE(pusher.connected());
+  ASSERT_TRUE(querier.connected());
+  std::atomic<bool> pushed{false};
+  std::thread trickle([&] {
+    constexpr size_t kPiece = 701;
+    for (size_t off = 0; off < frame.size(); off += kPiece) {
+      if (!pusher.SendRaw(std::string_view(frame).substr(off, kPiece))) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    pushed.store(true);
+  });
+
+  std::string round;
+  for (ItemId key = 1; key <= 10; ++key) {
+    round += EncodeFrame(EncodeEstimateRequest(Opcode::kEstimateFrequency,
+                                               std::to_string(key)));
+  }
+  round += EncodeFrame(EncodeTopKRequest(3));
+  int rounds = 0;
+  while (!pushed.load() || rounds < 3) {
+    ASSERT_TRUE(querier.SendRaw(round));
+    for (ItemId key = 1; key <= 10; ++key) {
+      const auto payload = querier.RecvPayload();
+      ASSERT_TRUE(payload.has_value());
+      const auto freq = DecodeResponse(Opcode::kEstimateFrequency, *payload);
+      ASSERT_TRUE(freq.has_value());
+      ASSERT_EQ(freq->status, Status::kOk);
+      ASSERT_EQ(freq->value_u64, key) << "round " << rounds;  // in order
+    }
+    const auto payload = querier.RecvPayload();
+    ASSERT_TRUE(payload.has_value());
+    const auto topk = DecodeResponse(Opcode::kTopK, *payload);
+    ASSERT_TRUE(topk.has_value());
+    ASSERT_EQ(topk->topk.size(), 3u);
+    EXPECT_EQ(topk->topk[0].key, "10");
+    ++rounds;
+  }
+  trickle.join();
+
+  const auto ack_payload = pusher.RecvPayload();
+  ASSERT_TRUE(ack_payload.has_value());
+  const auto ack = DecodeResponse(Opcode::kPushSketch, *ack_payload);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, Status::kOk);
+  EXPECT_TRUE(ack->push_applied);
+  EXPECT_EQ(ack->push_epoch, 1u);
+  server.Stop();
+  EXPECT_EQ(aggregator.merges_total(), 1u);
+  EXPECT_EQ(hub.PublishedSeq(), 2u);
+  EXPECT_EQ(server.TotalErrors(), 0u);
 }
 
 TEST_F(QueryServerTest, CountersTrackTraffic) {

@@ -3,12 +3,17 @@
 // exactly, the global top-k equals the best-of-union, and merging
 // item-partitioned tables is lossless for significant items.
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/serial.h"
 #include "core/sharded_ltc.h"
 #include "metrics/ground_truth.h"
 #include "stream/generators.h"
@@ -153,6 +158,69 @@ TEST(LtcMerge, KeepsMostSignificantWhenOverfull) {
   EXPECT_EQ(a.EstimateFrequency(3), 7u);
   EXPECT_FALSE(a.IsTracked(2));
   EXPECT_FALSE(a.IsTracked(4));
+}
+
+// The merge kernel's contract, cell for cell: a merged bucket holds the
+// union of both buckets (matching IDs summed), ranked by significance
+// descending then ID ascending, cut to d. One-bucket tables with
+// α = β = 1 make most significances tie, so the ID tiebreak decides, and
+// the v3 image's trailing lanes show the bucket's cells in slot order.
+TEST(LtcMerge, MergedBucketIsTheRankedUnionInSlotOrder) {
+  for (uint32_t d : {1u, 4u, 8u, 32u}) {
+    LtcConfig config;
+    config.memory_bytes = LtcConfig::BytesPerCell() * d;  // one bucket
+    config.cells_per_bucket = d;
+    config.items_per_period = 7;
+    Ltc a(config), b(config);
+    Rng rng(d);
+    for (int i = 0; i < 40; ++i) a.Insert(1 + rng.Uniform(3 * d));
+    for (int i = 0; i < 40; ++i) b.Insert(1 + rng.Uniform(3 * d));
+    a.Finalize();
+    b.Finalize();
+
+    struct Cell {
+      ItemId id;
+      uint64_t freq;
+      uint64_t counter;
+    };
+    std::vector<Cell> expected;
+    for (const Ltc* side : {&a, &b}) {
+      for (const auto& r : side->TopK(d)) {
+        auto it = std::find_if(expected.begin(), expected.end(),
+                               [&](const Cell& c) { return c.id == r.item; });
+        if (it == expected.end()) {
+          expected.push_back({r.item, r.frequency, r.persistency});
+        } else {
+          it->freq += r.frequency;
+          it->counter += r.persistency;
+        }
+      }
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Cell& x, const Cell& y) {
+                const uint64_t sx = x.freq + x.counter;
+                const uint64_t sy = y.freq + y.counter;
+                return sx != sy ? sx > sy : x.id < y.id;
+              });
+    if (expected.size() > d) expected.resize(d);
+
+    ASSERT_TRUE(a.MergeFrom(b));
+    BinaryWriter writer;
+    a.Serialize(writer);
+    const std::string& image = writer.data();
+    const size_t lanes = image.size() - 17 * size_t{d};  // ids freqs ctrs flags
+    for (uint32_t i = 0; i < d; ++i) {
+      uint64_t id = 0;
+      uint32_t freq = 0, counter = 0;
+      std::memcpy(&id, image.data() + lanes + 8 * i, 8);
+      std::memcpy(&freq, image.data() + lanes + 8 * d + 4 * i, 4);
+      std::memcpy(&counter, image.data() + lanes + 12 * d + 4 * i, 4);
+      const Cell want = i < expected.size() ? expected[i] : Cell{0, 0, 0};
+      EXPECT_EQ(id, want.id) << "d=" << d << " slot " << i;
+      EXPECT_EQ(freq, want.freq) << "d=" << d << " slot " << i;
+      EXPECT_EQ(counter, want.counter) << "d=" << d << " slot " << i;
+    }
+  }
 }
 
 // --------------------------------------------------------------- sharded

@@ -26,7 +26,8 @@ mkdir -p "$WORK" || fail "cannot create $WORK"
 cd "$WORK" || fail "cannot cd $WORK"
 rm -f trace.txt serve.err metrics.prom query.out query.err
 
-"$GEN" --dataset zipf --records 200000 --periods 20 --seed 7 trace.txt \
+RECORDS=200000
+"$GEN" --dataset zipf --records "$RECORDS" --periods 20 --seed 7 trace.txt \
   || fail "ltc_gen"
 
 start_server() {
@@ -45,6 +46,19 @@ start_server() {
   [ -n "$port" ] || fail "server never announced its port: $(cat serve.err)"
 }
 
+# The port is announced before the feed starts, so a query sent at once
+# can beat the first feed barrier (an empty snapshot, no topk rows).
+# Wait until the served snapshot holds the whole trace.
+wait_fed() {
+  for _ in $(seq 600); do
+    "$QUERY" --port "$port" stats 2> /dev/null \
+      | grep -q "^stats snapshot_seq=[0-9]* records=$RECORDS " && return
+    kill -0 "$server_pid" 2> /dev/null || fail "server died: $(cat serve.err)"
+    sleep 0.1
+  done
+  fail "served snapshot never reached records=$RECORDS: $(cat serve.err)"
+}
+
 stop_server() {
   kill -TERM "$server_pid" 2> /dev/null
   wait "$server_pid"
@@ -56,6 +70,7 @@ stop_server() {
 
 run_suite() {
   local label="$1"
+  wait_fed
 
   # --- All five query opcodes (plus PING) through ltc_query. ---------
   "$QUERY" --port "$port" ping stats topk 5 sig 1 freq 1 pers 1 \
