@@ -2,12 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <ctime>
 #include <fstream>
 #include <iostream>
-#include <thread>
-
-#include "core/table_layout.h"
 
 namespace ltc {
 namespace bench {
@@ -190,69 +186,6 @@ void PrintFigure(const std::string& title, const TextTable& table) {
     std::ofstream file(path);
     if (file) table.PrintCsv(file);
   }
-}
-
-namespace {
-
-// Fallbacks keep the header well-formed in builds configured without
-// the stamps (e.g. ad-hoc compiles outside CMake).
-#ifndef LTC_GIT_SHA
-#define LTC_GIT_SHA "unknown"
-#endif
-#ifndef LTC_BUILD_FLAGS
-#define LTC_BUILD_FLAGS "unknown"
-#endif
-
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // drop controls
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
-BenchReportHeader MakeBenchReportHeader(const std::string& benchmark) {
-  BenchReportHeader header;
-  header.benchmark = benchmark;
-  const char* sha = std::getenv("LTC_GIT_SHA");
-  header.git_sha = (sha != nullptr && *sha != '\0') ? sha : LTC_GIT_SHA;
-  std::time_t now = std::time(nullptr);
-  std::tm utc{};
-  gmtime_r(&now, &utc);
-  char stamp[32];
-  std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-  header.timestamp_utc = stamp;
-  header.hardware_threads = std::thread::hardware_concurrency();
-  header.build_flags = LTC_BUILD_FLAGS;
-  header.probe_backend = ProbeBackendName(ActiveProbeBackend());
-  return header;
-}
-
-std::string BenchReportHeaderJson(const BenchReportHeader& header) {
-  std::string json;
-  json += "\"schema_version\": " + std::to_string(header.schema_version);
-  json += ", \"benchmark\": \"" + JsonEscape(header.benchmark) + "\"";
-  json += ", \"git_sha\": \"" + JsonEscape(header.git_sha) + "\"";
-  json += ", \"timestamp_utc\": \"" + JsonEscape(header.timestamp_utc) + "\"";
-  json += ", \"hardware_threads\": " +
-          std::to_string(header.hardware_threads);
-  json += ", \"build_flags\": \"" + JsonEscape(header.build_flags) + "\"";
-  json += ", \"probe_backend\": \"" + JsonEscape(header.probe_backend) + "\"";
-  return json;
-}
-
-bool MaybeWriteBenchJson(const std::string& document) {
-  const char* path = std::getenv("LTC_BENCH_JSON_OUT");
-  if (path == nullptr || *path == '\0') return true;
-  std::ofstream file(path);
-  if (!file) return false;
-  file << document;
-  return static_cast<bool>(file.flush());
 }
 
 }  // namespace bench

@@ -59,42 +59,6 @@ std::vector<std::unique_ptr<SignificantReporter>> SignificantSuite(
 /// Prints a figure header plus the table, then a CSV copy.
 void PrintFigure(const std::string& title, const TextTable& table);
 
-// --------------------------------------------------------------------
-// Versioned perf-trajectory reports (docs/PERF.md).
-//
-// bench_speed and bench_ingest emit one JSON document per run, headed
-// by this block, so BENCH_*.json files committed across re-anchors stay
-// machine-comparable: a reader first checks schema_version, then keys
-// the numbers by (git_sha, probe_backend, build_flags).
-
-/// Current header schema. Bump whenever a header field changes meaning
-/// or a consumer-visible result field is renamed.
-inline constexpr int kBenchSchemaVersion = 1;
-
-struct BenchReportHeader {
-  int schema_version = kBenchSchemaVersion;
-  std::string benchmark;         // emitting binary, e.g. "bench_ingest"
-  std::string git_sha;           // LTC_GIT_SHA env, else configure-time
-  std::string timestamp_utc;     // ISO 8601, e.g. "2026-08-09T12:00:00Z"
-  unsigned hardware_threads = 0;
-  std::string build_flags;       // build type + feature toggles
-  std::string probe_backend;     // active bucket-probe dispatch
-};
-
-/// Fills every field for the named benchmark from the build stamps, the
-/// clock, and the active probe dispatch.
-BenchReportHeader MakeBenchReportHeader(const std::string& benchmark);
-
-/// The header as a JSON fragment: `"schema_version": 1, ..., "probe_backend":
-/// "avx2"` — no surrounding braces, no trailing comma, so callers can
-/// splice it into their own document.
-std::string BenchReportHeaderJson(const BenchReportHeader& header);
-
-/// Writes `document` to the path in the LTC_BENCH_JSON_OUT env var (the
-/// CI bench-trajectory step points it at bench/trajectory/BENCH_*.json).
-/// No-op when the var is unset; returns false only on a write failure.
-bool MaybeWriteBenchJson(const std::string& document);
-
 /// Builds the algorithm suite for one configuration (memory budget, k).
 using SuiteFactory =
     std::function<std::vector<std::unique_ptr<SignificantReporter>>(

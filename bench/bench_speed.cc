@@ -3,27 +3,27 @@
 // budget on a CAIDA-like stream, via google-benchmark. Only relative
 // numbers are meaningful across machines.
 //
-// After the google-benchmark run, main() prints one versioned JSON
-// document (schema in bench_common.h, reading guide in docs/PERF.md)
-// recording (a) LTC insert throughput under each supported bucket-probe
-// backend — scalar vs vectorized, the perf trajectory of the SoA layout
-// — and (b) the metrics sink guard: throughput with no sink attached vs
-// a sink attached (docs/TELEMETRY.md), so an instrumentation change
-// that slows the detached hot path shows up as a diff in CI logs, not
-// as a silent regression. Set LTC_BENCH_JSON_OUT=<path> to also write
-// the document to a file (CI commits it as
-// bench/trajectory/BENCH_speed.json).
+// Three comparisons ride in the same table, each as the arguments of one
+// case, so every pair is measured in one run on one host:
+//  * BM_LtcProbe/<backend> — LTC insert throughput under each
+//    bucket-probe backend (docs/PERF.md); a backend this CPU lacks is
+//    skipped with an error row;
+//  * BM_LtcSink/<detached|attached> — the metrics sink's hot-path cost
+//    (docs/TELEMETRY.md);
+//  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
+//    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md).
+// --benchmark_format=json carries probe_backend and git_sha in its
+// context block.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "bench_common.h"
+#include "core/sharded_ltc.h"
 #include "core/table_layout.h"
+#include "ingest/ingest_pipeline.h"
+#include "telemetry/build_info.h"
 
 namespace ltc {
 namespace bench {
@@ -39,13 +39,27 @@ const Stream& SharedStream() {
   return *stream;
 }
 
+// The table the probe, sink and shard cases feed: LTC at the 100 KB
+// budget, paced to the shared stream's periods.
+LtcConfig PacedConfig(const Stream& stream) {
+  LtcConfig config;
+  config.memory_bytes = kMemory;
+  config.period_mode = PeriodMode::kTimeBased;
+  config.period_seconds = stream.duration() / stream.num_periods();
+  return config;
+}
+
+void SetRecordsProcessed(benchmark::State& state, const Stream& stream) {
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(stream.size()));
+}
+
 void FeedAll(SignificantReporter& reporter, const Stream& stream,
              benchmark::State& state) {
   for (auto _ : state) {
     reporter.InsertBatch(stream.records(), stream);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
+  SetRecordsProcessed(state, stream);
 }
 
 void BM_LtcInsert(benchmark::State& state) {
@@ -135,111 +149,115 @@ void BM_LtcSingleInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_LtcSingleInsert);
 
-}  // namespace
-
-// Perf-trajectory report (docs/PERF.md): one versioned JSON document
-// combining
-//  * probe_throughput — best-of-3 full-stream LTC feed under each
-//    supported bucket-probe backend (scalar is always measured, so the
-//    vectorized win is recorded next to its baseline), and
-//  * sink_guard — the same feed with the metrics sink detached vs
-//    attached (docs/TELEMETRY.md). With LTC_METRICS compiled out both
-//    runs are the identical uninstrumented code (sink_compiled tells
-//    the reader which case the numbers describe).
-// The document goes to stdout and, when LTC_BENCH_JSON_OUT is set, to
-// that path (the CI bench-trajectory step commits it as
-// bench/trajectory/BENCH_speed.json).
-void ReportPerfTrajectory() {
+// One full-stream feed of a fresh paced table per iteration, so every
+// iteration sees the stream from its start; a fresh metrics sink is
+// attached when `attach_sink` is set.
+void FeedFreshLtc(benchmark::State& state,
+                  [[maybe_unused]] bool attach_sink) {
   const Stream& stream = SharedStream();
-  LtcConfig config;
-  config.memory_bytes = kMemory;
-  config.period_mode = PeriodMode::kTimeBased;
-  config.period_seconds = stream.duration() / stream.num_periods();
-
+  const LtcConfig config = PacedConfig(stream);
+  for (auto _ : state) {
+    Ltc table(config);
 #ifdef LTC_METRICS
-  constexpr bool kSinkCompiled = true;
-#else
-  constexpr bool kSinkCompiled = false;
+    LtcMetricsSink sink;
+    if (attach_sink) table.AttachMetricsSink(&sink);
 #endif
-
-  auto best_mops = [&](bool with_sink) {
-    double best = 0.0;
-    for (int r = 0; r < 3; ++r) {
-      Ltc table(config);
-#ifdef LTC_METRICS
-      LtcMetricsSink sink;
-      if (with_sink) table.AttachMetricsSink(&sink);
-#else
-      (void)with_sink;
-#endif
-      const auto start = std::chrono::steady_clock::now();
-      table.InsertBatch(stream.records());
-      const auto end = std::chrono::steady_clock::now();
-      const double seconds =
-          std::chrono::duration<double>(end - start).count();
-      if (seconds <= 0.0) continue;
-      const double mops =
-          static_cast<double>(stream.size()) / seconds / 1e6;
-      if (mops > best) best = mops;
-    }
-    return best;
-  };
-
-  // Header first, while the default dispatch is still active — its
-  // probe_backend field records what a plain run of this build uses.
-  const BenchReportHeader header = MakeBenchReportHeader("bench_speed");
-
-  struct BackendResult {
-    const char* name;
-    double mops;
-  };
-  std::vector<BackendResult> probe_results;
-  for (ProbeBackend backend :
-       {ProbeBackend::kScalar, ProbeBackend::kSse2, ProbeBackend::kAvx2}) {
-    if (SetProbeBackend(backend) != backend) continue;  // unsupported
-    probe_results.push_back({ProbeBackendName(backend), best_mops(false)});
+    table.InsertBatch(stream.records());
   }
-  SetProbeBackend(BestSupportedProbeBackend());
-
-  const double off = best_mops(false);
-  const double on = best_mops(true);
-  const double overhead_pct = off > 0.0 ? (off - on) / off * 100.0 : 0.0;
-
-  std::string json = "{\n  " + BenchReportHeaderJson(header) + ",\n";
-  json += "  \"records\": " + std::to_string(stream.size()) + ",\n";
-  json += "  \"memory_bytes\": " + std::to_string(kMemory) + ",\n";
-  json += "  \"probe_throughput\": [\n";
-  char line[160];
-  for (size_t i = 0; i < probe_results.size(); ++i) {
-    std::snprintf(line, sizeof(line),
-                  "    {\"backend\": \"%s\", \"insert_mops\": %.3f}%s\n",
-                  probe_results[i].name, probe_results[i].mops,
-                  i + 1 < probe_results.size() ? "," : "");
-    json += line;
-  }
-  json += "  ],\n";
-  std::snprintf(line, sizeof(line),
-                "  \"sink_guard\": {\"sink_compiled\": %s, "
-                "\"sink_off_mops\": %.3f, \"sink_on_mops\": %.3f, "
-                "\"overhead_pct\": %.2f}\n",
-                kSinkCompiled ? "true" : "false", off, on, overhead_pct);
-  json += line;
-  json += "}\n";
-
-  std::fputs(json.c_str(), stdout);
-  if (!MaybeWriteBenchJson(json)) {
-    std::fprintf(stderr, "bench_speed: failed to write LTC_BENCH_JSON_OUT\n");
-  }
+  SetRecordsProcessed(state, stream);
 }
 
+// Scalar always runs, so a vectorized backend's win sits next to its
+// baseline. The previously active backend is restored afterwards.
+void BM_LtcProbe(benchmark::State& state, ProbeBackend backend) {
+  const ProbeBackend before = ActiveProbeBackend();
+  if (SetProbeBackend(backend) != backend) {
+    state.SkipWithError("probe backend not supported on this CPU");
+    return;
+  }
+  FeedFreshLtc(state, /*attach_sink=*/false);
+  SetProbeBackend(before);
+}
+BENCHMARK_CAPTURE(BM_LtcProbe, scalar, ProbeBackend::kScalar)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LtcProbe, sse2, ProbeBackend::kSse2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LtcProbe, avx2, ProbeBackend::kAvx2)
+    ->Unit(benchmark::kMillisecond);
+
+// The sink-overhead claim in docs/TELEMETRY.md is the gap between these
+// two rows. Built with LTC_METRICS=OFF there is no sink to attach.
+void BM_LtcSink(benchmark::State& state, bool attach) {
+#ifndef LTC_METRICS
+  if (attach) {
+    state.SkipWithError("built with LTC_METRICS=OFF");
+    return;
+  }
+#endif
+  FeedFreshLtc(state, attach);
+}
+BENCHMARK_CAPTURE(BM_LtcSink, detached, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LtcSink, attached, true)
+    ->Unit(benchmark::kMillisecond);
+
+// Sequential ShardedLtc vs IngestPipeline at the same shard count. The
+// pipeline row includes worker spawn and join, the real cost of the
+// parallel mode; both rows time wall clock, because the pipeline's
+// work runs on threads other than the one google-benchmark times.
+void BM_ShardedInsert(benchmark::State& state) {
+  const Stream& stream = SharedStream();
+  const LtcConfig config = PacedConfig(stream);
+  const auto shards = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    ShardedLtc sharded(config, shards);
+    sharded.InsertBatch(stream.records());
+  }
+  SetRecordsProcessed(state, stream);
+}
+BENCHMARK(BM_ShardedInsert)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PipelineInsert(benchmark::State& state) {
+  const Stream& stream = SharedStream();
+  const LtcConfig config = PacedConfig(stream);
+  const auto shards = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    ShardedLtc sharded(config, shards);
+    IngestPipeline pipeline(sharded);
+    pipeline.PushBatch(stream.records());
+    pipeline.Stop();
+  }
+  SetRecordsProcessed(state, stream);
+}
+BENCHMARK(BM_PipelineInsert)
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+}  // namespace
 }  // namespace bench
 }  // namespace ltc
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Read before any case runs: the dispatch a plain run of this build
+  // uses (LTC_PROBE may force it).
+  benchmark::AddCustomContext(
+      "probe_backend", ltc::ProbeBackendName(ltc::ActiveProbeBackend()));
+  benchmark::AddCustomContext("git_sha", ltc::telemetry::BuildGitSha());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  ltc::bench::ReportPerfTrajectory();
   return 0;
 }

@@ -12,7 +12,7 @@
 // Hot-path metrics hooks (core/ltc_metrics_sink.h). Compiled only under
 // LTC_METRICS so the zero-metrics build is the exact uninstrumented
 // code; with the option on, each site is one predicted-not-taken branch
-// until a sink is attached. bench_speed's sink-guard JSON measures both.
+// until a sink is attached. bench_speed's BM_LtcSink cases measure both.
 #ifdef LTC_METRICS
 #define LTC_METRICS_HOOK(...)        \
   do {                               \

@@ -10,9 +10,9 @@
 // option, default ON); with the option off, Ltc carries no sink member
 // and its insert path compiles to the exact uninstrumented code — the
 // same pattern as LTC_AUDIT. With the option on but no sink attached,
-// the cost is one predicted-not-taken branch per hook site
-// (bench_speed's sink-guard JSON reports the measured overhead of both
-// states).
+// the cost is one predicted-not-taken branch per hook site. An
+// attached sink costs single-digit percent of insert throughput
+// (bench_speed's BM_LtcSink cases; docs/TELEMETRY.md has the figure).
 //
 // telemetry/ltc_collectors.h publishes a sink into a MetricsRegistry
 // under the ltc_core_* families.

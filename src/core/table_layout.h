@@ -47,8 +47,8 @@ namespace ltc {
 /// the best supported backend so a stale env var can never crash.
 enum class ProbeBackend : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
-/// Human-readable backend name ("scalar" / "sse2" / "avx2"), used by the
-/// BENCH_*.json perf-trajectory header (docs/PERF.md).
+/// Human-readable backend name ("scalar" / "sse2" / "avx2"), used to
+/// label bench_speed's probe cases and its JSON context (docs/PERF.md).
 const char* ProbeBackendName(ProbeBackend backend);
 
 /// The most capable backend this CPU can run.

@@ -22,7 +22,7 @@
 //
 // CheckpointDirty() write-backs only dirty frames and then truncates
 // the WAL: O(dirty) instead of the monolithic snapshot's O(table)
-// (bench_ingest "incremental vs monolithic" section measures this).
+// (tests/store_test.cc pins the exact page count).
 
 #ifndef LTC_STORE_SKETCH_STORE_H_
 #define LTC_STORE_SKETCH_STORE_H_

@@ -1,9 +1,9 @@
 // The ltc_build_info info-gauge: a constant-1 gauge whose labels
 // identify the running build (git sha, probe backend, version), so
-// every scrape says exactly what produced it. Same stamping scheme as
-// bench_common: the sha is burned in at configure time and can be
-// overridden at runtime with the LTC_GIT_SHA environment variable
-// (useful when the build tree is exported without .git).
+// every scrape says exactly what produced it. The sha is burned in at
+// configure time and can be overridden at runtime with the LTC_GIT_SHA
+// environment variable (useful when the build tree is exported without
+// .git). bench_speed reports the same sha in its JSON context.
 
 #ifndef LTC_TELEMETRY_BUILD_INFO_H_
 #define LTC_TELEMETRY_BUILD_INFO_H_

@@ -5,7 +5,9 @@
 // bytes answers queries bit-identically to an unconstrained run.
 
 #include <filesystem>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,6 +50,46 @@ Ltc SketchWithItems(const LtcConfig& config, uint64_t first, uint64_t count) {
   }
   return sketch;
 }
+
+// Delegates to the real filesystem and records the path of every file
+// a mutating call creates or overwrites, so a test can name the files
+// one operation rewrote.
+class RecordingFs final : public Fs {
+ public:
+  bool WriteAll(const std::string& path, std::string_view data) override {
+    written.push_back(path);
+    return SystemFs().WriteAll(path, data);
+  }
+  bool AppendAll(const std::string& path, std::string_view data) override {
+    written.push_back(path);
+    return SystemFs().AppendAll(path, data);
+  }
+  std::optional<std::string> ReadAll(const std::string& path) override {
+    return SystemFs().ReadAll(path);
+  }
+  bool Sync(const std::string& path) override {
+    return SystemFs().Sync(path);
+  }
+  bool SyncDir(const std::string& path) override {
+    return SystemFs().SyncDir(path);
+  }
+  bool Rename(const std::string& from, const std::string& to) override {
+    written.push_back(to);
+    return SystemFs().Rename(from, to);
+  }
+  bool Remove(const std::string& path) override {
+    return SystemFs().Remove(path);
+  }
+  bool Exists(const std::string& path) override {
+    return SystemFs().Exists(path);
+  }
+  std::optional<std::vector<std::string>> ListDir(
+      const std::string& dir) override {
+    return SystemFs().ListDir(dir);
+  }
+
+  std::vector<std::string> written;
+};
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -274,6 +316,63 @@ TEST_F(StoreTest, IncrementalPutLogsOnlyChangedPages) {
   EXPECT_LT(delta_bytes, full_image_bytes / 2)
       << "incremental Put logged " << delta_bytes << " of "
       << full_image_bytes;
+}
+
+TEST_F(StoreTest, CheckpointDirtyWritesBackOnlyTheChangedTenantsPages) {
+  // The O(dirty) claim in exact counts: with every tenant checkpointed,
+  // changing one tenant makes the next checkpoint write back exactly
+  // that tenant's changed pages and no other tenant's page file.
+  SketchStoreOptions options;
+  options.page_bytes = 64;  // many pages per tenant; the budget holds all
+  RecordingFs fs;
+  std::string error;
+  auto store = SketchStore::Open(fs, dir_.string(), options, &error);
+  ASSERT_NE(store, nullptr) << error;
+
+  const uint64_t kTenants = 4;
+  std::vector<Ltc> sketches;
+  for (uint64_t t = 0; t < kTenants; ++t) {
+    sketches.push_back(SketchWithItems(SmallConfig(), 100 * t + 1, 400));
+    ASSERT_TRUE(store->Put(t, sketches[t], &error)) << error;
+  }
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+
+  const uint64_t kChanged = 2;
+  const std::string before = SerializedBytes(sketches[kChanged]);
+  sketches[kChanged].Insert(100 * kChanged + 1);
+  const std::string after = SerializedBytes(sketches[kChanged]);
+  const size_t cells = sketches[kChanged].num_cells();
+  const auto old_pages =
+      PageCodec::SplitPayload(before, cells, options.page_bytes, &error);
+  const auto new_pages =
+      PageCodec::SplitPayload(after, cells, options.page_bytes, &error);
+  ASSERT_EQ(old_pages.size(), new_pages.size()) << error;
+  uint64_t changed_pages = 0;
+  for (size_t i = 0; i < new_pages.size(); ++i) {
+    if (old_pages[i] != new_pages[i]) ++changed_pages;
+  }
+  ASSERT_GT(changed_pages, 0u);
+
+  ASSERT_TRUE(store->Put(kChanged, sketches[kChanged], &error)) << error;
+  const uint64_t stored_before = store->pool().stats().pages_stored;
+  fs.written.clear();
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  const uint64_t stored = store->pool().stats().pages_stored - stored_before;
+
+  EXPECT_EQ(stored, changed_pages);
+  EXPECT_LE(stored, store->PageCountOf(kChanged));
+  std::set<std::pair<uint64_t, uint32_t>> rewritten;
+  for (const std::string& path : fs.written) {
+    uint64_t tenant = 0;
+    uint32_t page = 0;
+    if (DiskManager::ParsePageName(
+            std::filesystem::path(path).filename().string(), &tenant,
+            &page)) {
+      EXPECT_EQ(tenant, kChanged) << "checkpoint rewrote " << path;
+      rewritten.insert({tenant, page});
+    }
+  }
+  EXPECT_EQ(rewritten.size(), changed_pages);
 }
 
 TEST_F(StoreTest, TinyBudgetAnswersIdenticallyToUnconstrained) {

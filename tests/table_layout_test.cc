@@ -117,7 +117,7 @@ TEST_F(TableLayoutTest, DispatchHonorsSupportedRequestsAndIgnoresOthers) {
 }
 
 TEST_F(TableLayoutTest, BackendNamesAreStable) {
-  // The names are part of the BENCH_*.json schema (docs/PERF.md).
+  // The names label bench_speed's probe cases (docs/PERF.md).
   EXPECT_STREQ(ProbeBackendName(ProbeBackend::kScalar), "scalar");
   EXPECT_STREQ(ProbeBackendName(ProbeBackend::kSse2), "sse2");
   EXPECT_STREQ(ProbeBackendName(ProbeBackend::kAvx2), "avx2");
