@@ -11,13 +11,15 @@
 //  * BM_LtcSink/<detached|attached> — the metrics sink's hot-path cost
 //    (docs/TELEMETRY.md);
 //  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
-//    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md).
+//    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
+//    pipeline with and without per-shard metrics sinks.
 // --benchmark_format=json carries probe_backend and git_sha in its
 // context block.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/sharded_ltc.h"
@@ -224,12 +226,28 @@ BENCHMARK(BM_ShardedInsert)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// sinks:1 attaches one metrics sink per shard from a std::vector, as
+// ltc_cli --threads does; the gap to sinks:0 is what the sinks cost the
+// parallel shards, false sharing between adjacent sinks included.
 void BM_PipelineInsert(benchmark::State& state) {
   const Stream& stream = SharedStream();
   const LtcConfig config = PacedConfig(stream);
   const auto shards = static_cast<uint32_t>(state.range(0));
+  const bool attach_sinks = state.range(1) != 0;
+#ifndef LTC_METRICS
+  if (attach_sinks) {
+    state.SkipWithError("built with LTC_METRICS=OFF");
+    return;
+  }
+#endif
   for (auto _ : state) {
     ShardedLtc sharded(config, shards);
+#ifdef LTC_METRICS
+    std::vector<LtcMetricsSink> sinks(attach_sinks ? shards : 0);
+    for (uint32_t s = 0; s < sinks.size(); ++s) {
+      sharded.AttachMetricsSink(s, &sinks[s]);
+    }
+#endif
     IngestPipeline pipeline(sharded);
     pipeline.PushBatch(stream.records());
     pipeline.Stop();
@@ -237,11 +255,8 @@ void BM_PipelineInsert(benchmark::State& state) {
   SetRecordsProcessed(state, stream);
 }
 BENCHMARK(BM_PipelineInsert)
-    ->ArgName("shards")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+    ->ArgNames({"shards", "sinks"})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

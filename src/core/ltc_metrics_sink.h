@@ -14,6 +14,12 @@
 // attached sink costs single-digit percent of insert throughput
 // (bench_speed's BM_LtcSink cases; docs/TELEMETRY.md has the figure).
 //
+// Each sink owns whole cache lines (alignas(64)): shards fed by
+// different threads write their sinks on every record, and sinks kept
+// side by side in an array or std::vector (one per shard) would
+// otherwise share a line and ping-pong it between cores, erasing the
+// shards' parallel speed-up (docs/TELEMETRY.md).
+//
 // telemetry/ltc_collectors.h publishes a sink into a MetricsRegistry
 // under the ltc_core_* families.
 
@@ -24,7 +30,7 @@
 
 namespace ltc {
 
-struct LtcMetricsSink {
+struct alignas(64) LtcMetricsSink {
   // Arrival mix (the three cases of §III-B).
   uint64_t inserts_tracked = 0;      // Case 1: item already in its bucket
   uint64_t inserts_admitted = 0;     // Case 2: took a free cell
@@ -51,6 +57,9 @@ struct LtcMetricsSink {
   // in progress. Published into occupied_cells at the period boundary.
   uint64_t scan_occupied_scratch = 0;
 };
+
+static_assert(alignof(LtcMetricsSink) >= 64,
+              "per-shard sinks must not share a cache line");
 
 }  // namespace ltc
 

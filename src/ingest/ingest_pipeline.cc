@@ -129,6 +129,9 @@ void IngestPipeline::WorkerLoop(uint32_t shard_index, uint64_t my_gen) {
         continue;
       }
     }
+    // Opened once the pop returned records, so idle polls of an empty
+    // ring leave no span.
+    telemetry::Span span("ingest.drain");
     // Apply the batch in small chunks, publishing heartbeat and drain
     // progress after each: a worker slowed down by an expensive insert
     // path (an LTC_AUDIT build sweeps the whole table per record) still
@@ -297,17 +300,18 @@ void IngestPipeline::PushRunShedding(Lane& lane,
   lane.shed.fetch_add(shed, std::memory_order_relaxed);
 }
 
-void IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
+bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
   if (config_.shed.enabled &&
       config_.backpressure == BackpressureMode::kBlock) {
     UpdateShedState(lane);
     if (lane.shedding.load(std::memory_order_relaxed)) {
       PushRunShedding(lane, run);
-      return;
+      return true;
     }
   }
   uint64_t accepted = 0;
   uint64_t idle_yields = 0;
+  bool delivered = true;
   while (!run.empty()) {
     size_t pushed = lane.ring.TryPushBatch(run);
     accepted += pushed;
@@ -325,11 +329,13 @@ void IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
       // for the records we could not deliver.
       stalled_.store(true, std::memory_order_release);
       lane.dropped.fetch_add(run.size(), std::memory_order_relaxed);
+      delivered = false;
       break;
     }
     std::this_thread::yield();  // kBlock: wait for the worker to drain
   }
   lane.enqueued.fetch_add(accepted, std::memory_order_relaxed);
+  return delivered;
 }
 
 void IngestPipeline::Push(ItemId item, double time) {
@@ -340,12 +346,29 @@ void IngestPipeline::Push(ItemId item, double time) {
 
 void IngestPipeline::PushBatch(std::span<const Record> records) {
   assert(!stopped_ && "PushBatch after Stop()");
-  for (auto& run : route_runs_) run.clear();
-  for (const Record& record : records) {
-    route_runs_[sink_.ShardOf(record.item)].push_back(record);
-  }
-  for (uint32_t s = 0; s < lanes_.size(); ++s) {
-    if (!route_runs_[s].empty()) PushRun(*lanes_[s], route_runs_[s]);
+  // Route and enqueue one slice at a time, so every ring starts filling
+  // while the rest of the batch is still being routed, and a lane whose
+  // ring is full holds the others back by at most one slice.
+  for (auto& lane : lanes_) lane->gave_up = false;
+  while (!records.empty()) {
+    const auto slice = records.first(std::min(kPushSlice, records.size()));
+    records = records.subspan(slice.size());
+    for (auto& run : route_runs_) run.clear();
+    for (const Record& record : slice) {
+      route_runs_[sink_.ShardOf(record.item)].push_back(record);
+    }
+    for (uint32_t s = 0; s < lanes_.size(); ++s) {
+      Lane& lane = *lanes_[s];
+      const std::vector<Record>& run = route_runs_[s];
+      if (run.empty()) continue;
+      if (lane.gave_up) {
+        // This lane's bounded wait already expired in this batch: count
+        // the rest as dropped at once instead of waiting again per slice.
+        lane.dropped.fetch_add(run.size(), std::memory_order_relaxed);
+      } else if (!PushRun(lane, run)) {
+        lane.gave_up = true;
+      }
+    }
   }
 }
 

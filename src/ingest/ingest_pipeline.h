@@ -36,7 +36,8 @@
 // or load shedding) / Stalled.
 //
 // Overload shedding (opt-in, kBlock only): when a lane's queue depth
-// stays above the high watermark for `sustain` consecutive pushes, the
+// stays above the high watermark for `sustain` consecutive pushes (a
+// Push call, or one PushBatch slice routed to that lane), the
 // producer switches that lane to counted probabilistic admission —
 // admit one record in `admit_one_in`, never spin — until depth holds
 // below the low watermark. Every shed record is counted
@@ -129,8 +130,9 @@ struct ShedPolicy {
   double high_watermark = 0.9;
   double low_watermark = 0.5;
 
-  /// Consecutive per-lane push observations required to flip state —
-  /// one transient full ring does not start a shed.
+  /// Consecutive per-lane push observations (one per Push, one per
+  /// PushBatch slice that routes records to the lane) required to flip
+  /// state — one transient full ring does not start a shed.
   uint32_t sustain = 3;
 
   /// While shedding, admit one record in this many (and only when the
@@ -204,10 +206,20 @@ class IngestPipeline {
   /// Routes one record to its shard's ring. Producer thread only.
   void Push(ItemId item, double time = 0.0);
 
-  /// Routes a run of records. The records are partitioned into per-shard
-  /// runs first so each ring is published to once per run instead of once
-  /// per record — feed the pipeline in batches whenever the stream allows.
+  /// Routes a run of records, streaming it in fixed-size slices: each
+  /// slice is partitioned into per-shard runs and enqueued before the
+  /// next is routed, so every ring fills while the batch is still being
+  /// routed and each ring is published to once per slice instead of once
+  /// per record — feed the pipeline in batches whenever the stream
+  /// allows. Shedding observes each lane's depth once per slice. Under
+  /// kBlock, once a lane's bounded wait expires, the rest of that lane's
+  /// records in this batch are counted as dropped without waiting again.
   void PushBatch(std::span<const Record> records);
+
+  /// Records PushBatch routes per slice. Small next to the default ring
+  /// (16K records per lane), so a full ring stalls the producer for at
+  /// most one slice while the other rings keep their workers busy.
+  static constexpr size_t kPushSlice = 4096;
 
   /// Blocks until every accepted record has been applied to its shard
   /// table (and is memory-visible to this thread). The pipeline stays
@@ -335,6 +347,7 @@ class IngestPipeline {
     uint64_t shed_tick = 0;     // admission counter (producer only)
     uint32_t over_streak = 0;   // consecutive pushes above high (producer)
     uint32_t under_streak = 0;  // consecutive pushes below low (producer)
+    bool gave_up = false;  // kBlock wait expired in this PushBatch (producer)
     size_t high_threshold = 0;  // records; fixed after construction
     size_t low_threshold = 0;
 
@@ -379,8 +392,9 @@ class IngestPipeline {
   void RestartLane(uint32_t shard_index);
 
   // Pushes one shard's routed run, honouring backpressure; the records
-  // not accepted are counted as dropped or shed.
-  void PushRun(Lane& lane, std::span<const Record> run);
+  // not accepted are counted as dropped or shed. Returns false when a
+  // kBlock wait expired (stall latched).
+  bool PushRun(Lane& lane, std::span<const Record> run);
   void PushRunShedding(Lane& lane, std::span<const Record> run);
   void UpdateShedState(Lane& lane);
 

@@ -6,9 +6,11 @@
 // the same stream. The concurrency tests double as the tsan workload.
 
 #include <algorithm>
+#include <chrono>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -386,6 +388,75 @@ TEST(IngestPipeline, SingleShardPipelineMatchesPlainLtc) {
   plain.Finalize();
   piped.Finalize();
   ExpectSameTopK(plain, piped, 50);
+}
+
+// PushBatch streams its input in slices of kPushSlice records. Batch
+// sizes on both sides of the slice boundary must leave the answer
+// unchanged at every shard count.
+TEST(IngestPipeline, SlicedPushBatchBitIdenticalAcrossSliceBoundaries) {
+  constexpr size_t kSlice = IngestPipeline::kPushSlice;
+  const std::vector<size_t> sizes = {1, kSlice - 1, kSlice, kSlice + 1,
+                                     3 * kSlice + 7};
+  size_t total = 0;
+  for (size_t size : sizes) total += size;
+  Stream stream = MakeZipfStream(total, 3'000, 1.0, 30, 157);
+  LtcConfig config = TimePaced(stream, 16 * 1024);
+
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    ShardedLtc sequential(config, shards);
+    for (const Record& r : stream.records()) sequential.Insert(r.item, r.time);
+
+    ShardedLtc piped(config, shards);
+    IngestPipeline pipeline(piped);
+    std::span<const Record> rest = stream.records();
+    for (size_t size : sizes) {
+      pipeline.PushBatch(rest.first(size));
+      rest = rest.subspan(size);
+    }
+    pipeline.Stop();
+    EXPECT_EQ(pipeline.TotalEnqueued(), stream.size()) << shards << " shards";
+    EXPECT_EQ(pipeline.TotalDropped(), 0u) << shards << " shards";
+    EXPECT_EQ(Bytes(sequential), Bytes(piped)) << shards << " shards";
+  }
+}
+
+// One hung lane must not hold the others back: within a multi-slice
+// batch, the live shard enqueues and drains all of its records, and the
+// hung shard's overflow is counted as dropped.
+TEST(IngestPipeline, HungLaneDropsItsOverflowWhileOtherLanesDrain) {
+  const size_t total = 3 * IngestPipeline::kPushSlice + 7;
+  Stream stream = MakeZipfStream(total, 3'000, 1.0, 30, 163);
+  LtcConfig config = TimePaced(stream, 16 * 1024);
+  ShardedLtc piped(config, 2);
+  uint64_t routed[2] = {0, 0};
+  for (const Record& r : stream.records()) ++routed[piped.ShardOf(r.item)];
+
+  IngestConfig ingest;
+  ingest.ring_capacity = 256;  // far below shard 0's share of the batch
+  ingest.stall_yield_limit = 200'000;
+  ingest.supervision.enabled = false;  // keep the hung worker in place
+  IngestPipeline pipeline(piped, ingest);
+  pipeline.HangWorkerForTest(0, true);
+  pipeline.PushBatch(stream.records());
+
+  EXPECT_TRUE(pipeline.stalled());
+  const IngestShardStats live = pipeline.ShardStatsOf(1);
+  EXPECT_EQ(live.enqueued, routed[1]);
+  EXPECT_EQ(live.dropped, 0u);
+  const IngestShardStats hung = pipeline.ShardStatsOf(0);
+  EXPECT_GT(hung.dropped, 0u);
+  EXPECT_EQ(hung.enqueued + hung.dropped, routed[0]);
+  EXPECT_EQ(pipeline.TotalEnqueued() + pipeline.TotalDropped(), total);
+  for (int i = 0; i < 10'000 && pipeline.ShardStatsOf(1).drained < routed[1];
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pipeline.ShardStatsOf(1).drained, routed[1]);
+
+  pipeline.HangWorkerForTest(0, false);
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.ShardStatsOf(0).drained, hung.enqueued);
+  EXPECT_TRUE(piped.CheckInvariants());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // item-partitioned tables is lossless for significant items.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
+#include "core/ltc_metrics_sink.h"
 #include "core/sharded_ltc.h"
 #include "metrics/ground_truth.h"
 #include "stream/generators.h"
@@ -371,6 +373,21 @@ TEST(ShardedLtc, SingleShardEqualsPlainLtc) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].item, b[i].item);
     EXPECT_EQ(a[i].frequency, b[i].frequency);
+  }
+}
+
+// Shards fed by different threads write their sinks on every record;
+// sinks laid out side by side, as callers attach them, must each start
+// a cache line of their own or the shards false-share.
+TEST(LtcMetricsSink, AdjacentSinksInAVectorStartOnDifferentCacheLines) {
+  std::vector<LtcMetricsSink> sinks(4);
+  for (size_t i = 0; i < sinks.size(); ++i) {
+    const auto addr = reinterpret_cast<uintptr_t>(&sinks[i]);
+    EXPECT_EQ(addr % 64, 0u) << "sink " << i;
+    if (i > 0) {
+      const auto prev = reinterpret_cast<uintptr_t>(&sinks[i - 1]);
+      EXPECT_NE(prev / 64, addr / 64) << "sinks " << i - 1 << " and " << i;
+    }
   }
 }
 
