@@ -430,10 +430,7 @@ bool IngestPipeline::Flush() {
         std::make_unique<ShardedLtc>(sink_.CloneAtBarrier()),
         TotalEnqueued());
   }
-  if (flush_duration_usec_ != nullptr) {
-    flush_duration_usec_->Record(MicrosSince(start));
-  }
-  if (stalled_gauge_ != nullptr && !complete) stalled_gauge_->Set(1.0);
+  flush_duration_usec_.Record(MicrosSince(start));
   return complete;
 }
 
@@ -481,7 +478,7 @@ bool IngestPipeline::Checkpoint(std::string* error) {
   const auto start = std::chrono::steady_clock::now();
   if (snapshot_store_ == nullptr) {
     if (error != nullptr) *error = "no snapshot store attached";
-    ++checkpoint_failures_;
+    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   // The whole attempt (flush + serialize + save) retries under the
@@ -496,16 +493,14 @@ bool IngestPipeline::Checkpoint(std::string* error) {
         return CheckpointOnce(&attempt_error);
       },
       &retries);
-  checkpoint_retries_ += retries;
+  checkpoint_retries_.fetch_add(retries, std::memory_order_relaxed);
   if (!ok) {
     if (error != nullptr) *error = attempt_error;
-    ++checkpoint_failures_;
+    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  ++checkpoints_taken_;
-  if (checkpoint_duration_usec_ != nullptr) {
-    checkpoint_duration_usec_->Record(MicrosSince(start));
-  }
+  checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
+  checkpoint_duration_usec_.Record(MicrosSince(start));
   return true;
 }
 
@@ -556,35 +551,7 @@ void IngestPipeline::HangWorkerForTest(uint32_t shard, bool hung) {
   }
 }
 
-void IngestPipeline::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
-  if (registry == nullptr) {
-    flush_duration_usec_ = nullptr;
-    checkpoint_duration_usec_ = nullptr;
-    stalled_gauge_ = nullptr;
-    health_gauge_ = nullptr;
-    return;
-  }
-  flush_duration_usec_ = &registry->HistogramOf(
-      "ltc_ingest_flush_duration_usec",
-      "Latency of Flush() barriers in microseconds");
-  checkpoint_duration_usec_ = &registry->HistogramOf(
-      "ltc_ingest_checkpoint_duration_usec",
-      "Latency of successful checkpoints (flush + serialize + atomic "
-      "save) in microseconds");
-  stalled_gauge_ = &registry->GaugeOf(
-      "ltc_ingest_stalled",
-      "1 while a bounded wait has expired on a dead/stuck worker and "
-      "the supervisor has not yet healed the stall");
-  health_gauge_ = &registry->GaugeOf(
-      "ltc_ingest_health_state",
-      "Pipeline health state machine: 0 healthy, 1 degraded, 2 stalled");
-  SampleMetrics();  // register the per-shard families up front
-}
-
-void IngestPipeline::SampleMetrics() {
-  if (metrics_ == nullptr) return;
-  telemetry::MetricsRegistry& registry = *metrics_;
+void IngestPipeline::Collect(telemetry::MetricsRegistry& registry) const {
   for (uint32_t s = 0; s < lanes_.size(); ++s) {
     const IngestShardStats stats = ShardStatsOf(s);
     const telemetry::Labels shard_label{{"shard", std::to_string(s)}};
@@ -637,18 +604,35 @@ void IngestPipeline::SampleMetrics() {
       .CounterOf("ltc_ingest_checkpoints_total",
                  "Checkpoint attempts by result",
                  {{"result", "ok"}})
-      .SetFromSample(checkpoints_taken_);
+      .SetFromSample(CheckpointsTaken());
   registry
       .CounterOf("ltc_ingest_checkpoints_total",
                  "Checkpoint attempts by result",
                  {{"result", "error"}})
-      .SetFromSample(checkpoint_failures_);
+      .SetFromSample(CheckpointFailures());
   registry
       .CounterOf("ltc_ingest_checkpoint_retries_total",
                  "Checkpoint attempt re-runs under the backoff policy")
-      .SetFromSample(checkpoint_retries_);
-  stalled_gauge_->Set(stalled() ? 1.0 : 0.0);
-  health_gauge_->Set(static_cast<double>(health()));
+      .SetFromSample(CheckpointRetries());
+  registry
+      .GaugeOf("ltc_ingest_stalled",
+               "1 while a bounded wait has expired on a dead/stuck worker "
+               "and the supervisor has not yet healed the stall")
+      .Set(stalled() ? 1.0 : 0.0);
+  registry
+      .GaugeOf("ltc_ingest_health_state",
+               "Pipeline health state machine: 0 healthy, 1 degraded, 2 "
+               "stalled")
+      .Set(static_cast<double>(health()));
+  registry
+      .HistogramOf("ltc_ingest_flush_duration_usec",
+                   "Latency of Flush() barriers in microseconds")
+      .SetFromSample(flush_duration_usec_);
+  registry
+      .HistogramOf("ltc_ingest_checkpoint_duration_usec",
+                   "Latency of successful checkpoints (flush + serialize + "
+                   "atomic save) in microseconds")
+      .SetFromSample(checkpoint_duration_usec_);
 }
 
 void IngestPipeline::Stop() {

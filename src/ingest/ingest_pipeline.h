@@ -55,8 +55,8 @@
 // Threading contract: Push / PushBatch / Flush / Stop / Checkpoint must
 // all be called from ONE producer thread. Queries on the ShardedLtc are
 // only safe after Flush() (all queued records applied, memory-visible)
-// or Stop(). health(), stalled() and the stats accessors are safe from
-// any thread.
+// or Stop(). health(), stalled(), the stats accessors and Collect() are
+// safe from any thread.
 
 #ifndef LTC_INGEST_INGEST_PIPELINE_H_
 #define LTC_INGEST_INGEST_PIPELINE_H_
@@ -255,13 +255,19 @@ class IngestPipeline {
 
   /// Checkpoints successfully taken / failed since construction, and
   /// the store sequence number of the newest one (0 = none yet).
-  uint64_t CheckpointsTaken() const { return checkpoints_taken_; }
-  uint64_t CheckpointFailures() const { return checkpoint_failures_; }
+  uint64_t CheckpointsTaken() const {
+    return checkpoints_taken_.load(std::memory_order_relaxed);
+  }
+  uint64_t CheckpointFailures() const {
+    return checkpoint_failures_.load(std::memory_order_relaxed);
+  }
   uint64_t LastCheckpointSeq() const { return last_checkpoint_seq_; }
 
   /// Checkpoint attempt re-runs the backoff loop has made (0 while
-  /// every checkpoint succeeds first try). Producer thread only.
-  uint64_t CheckpointRetries() const { return checkpoint_retries_; }
+  /// every checkpoint succeeds first try). Any thread.
+  uint64_t CheckpointRetries() const {
+    return checkpoint_retries_.load(std::memory_order_relaxed);
+  }
 
   /// Latched true once any bounded wait expired (dead/stuck worker);
   /// cleared by the supervisor once every lane is live and drained.
@@ -310,21 +316,15 @@ class IngestPipeline {
   /// Throws std::out_of_range when `shard` >= num_shards().
   IngestShardStats ShardStatsOf(uint32_t shard) const;
 
-  /// Attaches a metrics registry (docs/TELEMETRY.md): registers the
-  /// ltc_ingest_* families, after which Flush()/Checkpoint() record
-  /// their latencies and SampleMetrics() publishes the per-shard
-  /// counters and gauges. nullptr detaches. The registry must outlive
-  /// the pipeline (or be detached first). Producer thread only.
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
-
-  /// Publishes the current per-shard counters (enqueued / dropped /
-  /// shed / drained / batches / flushes / restarts), queue-depth and
-  /// ring-capacity gauges, the stalled and health gauges and the
-  /// checkpoint totals into the attached registry. No-op when none is
-  /// attached. Producer thread only; cheap enough to call at any
-  /// reporting cadence. (The supervisor never touches the registry —
-  /// its state flows out through this sampler.)
-  void SampleMetrics();
+  /// Publishes the ltc_ingest_* families (docs/TELEMETRY.md) into
+  /// `registry` from the pipeline's own counters: per-shard
+  /// enqueued / dropped / shed / drained / batches / flushes / restarts,
+  /// queue-depth and ring-capacity gauges, the stalled and health gauges,
+  /// the checkpoint totals and the Flush()/Checkpoint() latency
+  /// histograms. Every family appears even before any traffic. Any
+  /// thread, at any time: every counter it reads is atomic (the
+  /// supervisor never touches a registry — its state flows out here).
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(lanes_.size());
@@ -430,21 +430,17 @@ class IngestPipeline {
   // Read-snapshot publishing (producer thread only).
   ReadSnapshotHub* snapshot_hub_ = nullptr;
 
-  // Checkpoint state (producer thread only).
+  // Checkpoint state (producer-written; the totals are atomic so that
+  // Collect may read them from any thread).
   SnapshotStore* snapshot_store_ = nullptr;
-  uint64_t checkpoints_taken_ = 0;
-  uint64_t checkpoint_failures_ = 0;
-  uint64_t checkpoint_retries_ = 0;
+  std::atomic<uint64_t> checkpoints_taken_{0};
+  std::atomic<uint64_t> checkpoint_failures_{0};
+  std::atomic<uint64_t> checkpoint_retries_{0};
   uint64_t last_checkpoint_seq_ = 0;
 
-  // Metrics (producer thread only). The histogram/gauge references are
-  // resolved once at AttachMetrics so Flush/Checkpoint pay one branch
-  // plus a relaxed fetch_add, never a registry lookup.
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Histogram* flush_duration_usec_ = nullptr;
-  telemetry::Histogram* checkpoint_duration_usec_ = nullptr;
-  telemetry::Gauge* stalled_gauge_ = nullptr;
-  telemetry::Gauge* health_gauge_ = nullptr;
+  // Barrier latencies (producer-recorded, published by Collect).
+  telemetry::Histogram flush_duration_usec_;
+  telemetry::Histogram checkpoint_duration_usec_;
 };
 
 }  // namespace ltc

@@ -19,23 +19,8 @@ AggregatorCore::AggregatorCore(const LtcConfig& config, ReadSnapshotHub* hub,
       stale_after_sec_(stale_after_sec),
       merged_(config) {}
 
-void AggregatorCore::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
-  merges_counter_ = &registry->CounterOf(
-      "ltc_agg_merges_total", "Pushed sketches applied to the aggregate.");
-  rejects_counter_ = &registry->CounterOf(
-      "ltc_agg_pushes_rejected_total",
-      "Pushes rejected with a typed error (shape/epoch/deserialize).");
-  duplicates_counter_ = &registry->CounterOf(
-      "ltc_agg_pushes_duplicate_total",
-      "Retransmitted pushes acknowledged without reapplying.");
-  nodes_gauge_ = &registry->GaugeOf("ltc_agg_nodes",
-                                    "Nodes that have pushed at least once.");
-}
-
 PushOutcome AggregatorCore::Reject(Status status, std::string detail) {
   rejects_total_++;
-  if (rejects_counter_ != nullptr) rejects_counter_->Increment();
   PushOutcome outcome;
   outcome.status = status;
   outcome.detail = std::move(detail);
@@ -69,7 +54,7 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
                         std::to_string(it->second.last_epoch));
     }
     if (push.epoch_seq == it->second.last_epoch) {
-      if (duplicates_counter_ != nullptr) duplicates_counter_->Increment();
+      duplicates_total_++;
       PushOutcome outcome;
       outcome.status = Status::kOk;
       outcome.applied = false;
@@ -105,12 +90,7 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
   it->second.last_push_usec = now;
 
   merges_total_++;
-  if (merges_counter_ != nullptr) merges_counter_->Increment();
-  if (nodes_gauge_ != nullptr) {
-    nodes_gauge_->Set(static_cast<double>(nodes_.size()));
-  }
   RefoldAndPublish(changed);
-  Tick();
 
   PushOutcome outcome;
   outcome.status = Status::kOk;
@@ -148,21 +128,29 @@ uint64_t AggregatorCore::AgeSecOf(const NodeState& node,
   return now_usec > last ? (now_usec - last) / 1'000'000 : 0;
 }
 
-void AggregatorCore::Tick() {
-  if (metrics_ == nullptr) return;
+void AggregatorCore::Collect(telemetry::MetricsRegistry& registry) const {
+  registry
+      .CounterOf("ltc_agg_merges_total",
+                 "Pushed sketches applied to the aggregate.")
+      .SetFromSample(merges_total_);
+  registry
+      .CounterOf("ltc_agg_pushes_rejected_total",
+                 "Pushes rejected with a typed error "
+                 "(shape/epoch/deserialize).")
+      .SetFromSample(rejects_total_);
+  registry
+      .CounterOf("ltc_agg_pushes_duplicate_total",
+                 "Retransmitted pushes acknowledged without reapplying.")
+      .SetFromSample(duplicates_total_);
+  registry.GaugeOf("ltc_agg_nodes", "Nodes that have pushed at least once.")
+      .Set(static_cast<double>(nodes_.size()));
   const uint64_t now = clock_->NowMicros();
   for (const auto& [node_id, node] : nodes_) {
-    auto it = staleness_gauges_.find(node_id);
-    if (it == staleness_gauges_.end()) {
-      it = staleness_gauges_
-               .emplace(node_id,
-                        &metrics_->GaugeOf(
-                            "ltc_agg_node_staleness_sec",
-                            "Seconds since a node's last applied push.",
-                            {{"node", std::to_string(node_id)}}))
-               .first;
-    }
-    it->second->Set(static_cast<double>(AgeSecOf(node, now)));
+    registry
+        .GaugeOf("ltc_agg_node_staleness_sec",
+                 "Seconds since a node's last applied push.",
+                 {{"node", std::to_string(node_id)}})
+        .Set(static_cast<double>(AgeSecOf(node, now)));
   }
 }
 

@@ -40,10 +40,10 @@
 // gauge; queries keep being answered either way.
 //
 // Threading: single-driver, by design the QueryServer event-loop thread
-// (dispatch calls ApplyPush, the loop calls Tick between polls). That
-// makes the hub's single-publisher contract hold for free. Read-only
-// accessors (SerializeMerged, NodeRows) are for tests and for callers
-// that own the loop, after Stop().
+// (dispatch calls ApplyPush). That makes the hub's single-publisher
+// contract hold for free. Read-only accessors (SerializeMerged,
+// NodeRows, Collect) are for tests and for callers that own the loop,
+// after Stop().
 
 #ifndef LTC_SERVER_AGGREGATOR_H_
 #define LTC_SERVER_AGGREGATOR_H_
@@ -85,18 +85,16 @@ class AggregatorCore {
   AggregatorCore(const AggregatorCore&) = delete;
   AggregatorCore& operator=(const AggregatorCore&) = delete;
 
-  /// Registers ltc_agg_* families. Call before the serving loop starts;
-  /// the registry must outlive this object.
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
+  /// Publishes the ltc_agg_* families (docs/TELEMETRY.md) from the
+  /// aggregator's own counters, with each node's staleness measured
+  /// now. Call it from the driving thread, or after the server that
+  /// drives this aggregator has stopped.
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
   /// Applies one decoded PUSH_SKETCH. Total: every input yields a typed
   /// outcome, never UB — a sketch that fails to deserialize or to merge
   /// leaves the aggregate exactly as it was.
   PushOutcome ApplyPush(const PushRequest& push);
-
-  /// Periodic upkeep (staleness gauge refresh). Cheap; the server loop
-  /// calls it between polls.
-  void Tick();
 
   /// Per-node delivery state for STATS, in node_id order.
   std::vector<StatsNodeRow> NodeRows() const;
@@ -107,6 +105,7 @@ class AggregatorCore {
 
   uint64_t merges_total() const { return merges_total_; }
   uint64_t rejects_total() const { return rejects_total_; }
+  uint64_t duplicates_total() const { return duplicates_total_; }
   uint64_t total_records() const { return total_records_; }
   size_t num_nodes() const { return nodes_.size(); }
   uint64_t stale_after_sec() const { return stale_after_sec_; }
@@ -141,13 +140,7 @@ class AggregatorCore {
   uint64_t total_records_ = 0;
   uint64_t merges_total_ = 0;
   uint64_t rejects_total_ = 0;
-
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Counter* merges_counter_ = nullptr;
-  telemetry::Counter* rejects_counter_ = nullptr;
-  telemetry::Counter* duplicates_counter_ = nullptr;
-  telemetry::Gauge* nodes_gauge_ = nullptr;
-  std::map<uint64_t, telemetry::Gauge*> staleness_gauges_;  // per node
+  uint64_t duplicates_total_ = 0;
 };
 
 }  // namespace server

@@ -1,5 +1,6 @@
 #include "server/dispatcher.h"
 
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -19,20 +20,43 @@ bool ReadU16(std::string_view data, size_t& pos, uint16_t* out) {
   return true;
 }
 
+void Bump(std::atomic<uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 std::string QueryDispatcher::Error(Status status, std::string_view detail) {
-  stats_.errors++;
-  stats_.by_status[static_cast<size_t>(status)]++;
+  Bump(errors_);
+  Bump(by_status_[static_cast<size_t>(status)]);
   return EncodeErrorResponse(status, detail);
 }
 
+std::string QueryDispatcher::RejectOversized() {
+  Bump(requests_);
+  return Error(Status::kErrOversized, "frame length above protocol maximum");
+}
+
+DispatchStats QueryDispatcher::stats() const {
+  DispatchStats stats;
+  stats.requests = requests_.load(std::memory_order_relaxed);
+  stats.errors = errors_.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < std::size(by_opcode_); ++i) {
+    stats.by_opcode[i] = by_opcode_[i].load(std::memory_order_relaxed);
+  }
+  for (size_t i = 0; i < std::size(by_status_); ++i) {
+    stats.by_status[i] = by_status_[i].load(std::memory_order_relaxed);
+  }
+  return stats;
+}
+
 std::string QueryDispatcher::Handle(std::string_view payload) {
-  stats_.requests++;
+  Bump(requests_);
   if (payload.empty()) {
     return Error(Status::kErrMalformed, "empty request payload");
   }
   const uint8_t opcode_byte = static_cast<uint8_t>(payload[0]);
+  if (opcode_byte < std::size(by_opcode_)) Bump(by_opcode_[opcode_byte]);
   std::string_view body = payload.substr(1);
   // v3 trace-context extension: strip it before the opcode handlers so
   // their length checks see exactly the v2 body, and parent this
@@ -50,8 +74,7 @@ std::string QueryDispatcher::Handle(std::string_view payload) {
       if (!body.empty()) {
         return Error(Status::kErrMalformed, "PING takes no body");
       }
-      stats_.by_opcode[opcode_byte]++;
-      stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+      Bump(by_status_[static_cast<size_t>(Status::kOk)]);
       // PING answers even before the first snapshot (seq 0): it probes
       // liveness, not data.
       const ReadSnapshotHub::Ref snapshot = hub_.Acquire();
@@ -59,25 +82,20 @@ std::string QueryDispatcher::Handle(std::string_view payload) {
                                 snapshot ? snapshot->records : 0);
     }
     case Opcode::kTopK:
-      stats_.by_opcode[opcode_byte]++;
       return HandleTopK(body);
     case Opcode::kEstimateSignificance:
     case Opcode::kEstimateFrequency:
     case Opcode::kEstimatePersistency:
-      stats_.by_opcode[opcode_byte]++;
       return HandleEstimate(static_cast<Opcode>(opcode_byte), body);
     case Opcode::kStats: {
       if (!body.empty()) {
         return Error(Status::kErrMalformed, "STATS takes no body");
       }
-      stats_.by_opcode[opcode_byte]++;
       return HandleStats();
     }
     case Opcode::kPushSketch:
-      stats_.by_opcode[opcode_byte]++;
       return HandlePush(body);
     case Opcode::kDumpTrace:
-      stats_.by_opcode[opcode_byte]++;
       return HandleDumpTrace(body);
   }
   return Error(Status::kErrUnknownOpcode,
@@ -110,7 +128,7 @@ std::string QueryDispatcher::HandleTopK(std::string_view body) {
     entry.significance = report.significance;
     entries.push_back(std::move(entry));
   }
-  stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+  Bump(by_status_[static_cast<size_t>(Status::kOk)]);
   return EncodeTopKResponse(entries);
 }
 
@@ -141,7 +159,7 @@ std::string QueryDispatcher::HandleEstimate(Opcode opcode,
   if (!snapshot) {
     return Error(Status::kErrNoSnapshot, "no snapshot published yet");
   }
-  stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+  Bump(by_status_[static_cast<size_t>(Status::kOk)]);
   switch (opcode) {
     case Opcode::kEstimateSignificance:
       return EncodeDoubleResponse(snapshot->table->QuerySignificance(*item));
@@ -162,7 +180,7 @@ std::string QueryDispatcher::HandleStats() {
     stats.memory_bytes = snapshot->table->MemoryBytes();
   }
   if (aggregator_ != nullptr) stats.nodes = aggregator_->NodeRows();
-  stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+  Bump(by_status_[static_cast<size_t>(Status::kOk)]);
   return EncodeStatsResponse(stats);
 }
 
@@ -180,7 +198,7 @@ std::string QueryDispatcher::HandlePush(std::string_view body) {
   if (outcome.status != Status::kOk) {
     return Error(outcome.status, outcome.detail);
   }
-  stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+  Bump(by_status_[static_cast<size_t>(Status::kOk)]);
   return EncodePushResponse(outcome.epoch_seq, outcome.applied);
 }
 
@@ -193,7 +211,7 @@ std::string QueryDispatcher::HandleDumpTrace(std::string_view body) {
     return Error(Status::kErrBadRequest,
                  "tracing is not enabled on this server");
   }
-  stats_.by_status[static_cast<size_t>(Status::kOk)]++;
+  Bump(by_status_[static_cast<size_t>(Status::kOk)]);
   // Status byte + u32 length + headroom must stay under the frame cap.
   return EncodeTraceDumpResponse(recorder->DumpChromeJson(kMaxFrameBytes - 64));
 }

@@ -13,6 +13,7 @@
 #ifndef LTC_SERVER_DISPATCHER_H_
 #define LTC_SERVER_DISPATCHER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -26,13 +27,13 @@ namespace server {
 
 class AggregatorCore;
 
-/// Per-status dispatch counters (sampled into ltc_server_* metrics by
-/// the query server; plain fields — the dispatcher is driven from one
-/// event-loop thread).
+/// A copy of the dispatch counters (QueryDispatcher::stats()): the one
+/// source of the server's request totals and of the ltc_server_*
+/// per-opcode and per-status families.
 struct DispatchStats {
   uint64_t requests = 0;  // total payloads handled
   uint64_t errors = 0;    // payloads answered with a non-kOk status
-  uint64_t by_opcode[9] = {};   // index = valid Opcode value, 0 unused
+  uint64_t by_opcode[9] = {};   // index = opcode byte, errors included
   uint64_t by_status[11] = {};  // index = Status value
 };
 
@@ -57,7 +58,13 @@ class QueryDispatcher {
   /// Total: never throws, never returns an undecodable response.
   std::string Handle(std::string_view payload);
 
-  const DispatchStats& stats() const { return stats_; }
+  /// Answers a frame whose length prefix exceeded the cap (the payload
+  /// was never read) with kErrOversized, counted like any request.
+  std::string RejectOversized();
+
+  /// The counters so far. Any thread: they are relaxed atomics, written
+  /// only by the thread that calls Handle.
+  DispatchStats stats() const;
 
  private:
   std::string HandleTopK(std::string_view body);
@@ -71,7 +78,11 @@ class QueryDispatcher {
   const KeyCodec& codec_;
   uint32_t num_shards_;
   AggregatorCore* aggregator_ = nullptr;
-  DispatchStats stats_;
+
+  std::atomic<uint64_t> requests_{0};
+  std::atomic<uint64_t> errors_{0};
+  std::atomic<uint64_t> by_opcode_[9] = {};
+  std::atomic<uint64_t> by_status_[11] = {};
 };
 
 }  // namespace server

@@ -140,17 +140,23 @@ SketchPusher::SketchPusher(const SketchPusherConfig& config,
       transport_(transport),
       clock_(clock != nullptr ? clock : &SystemClock()) {}
 
-void SketchPusher::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  attempts_counter_ = &registry->CounterOf(
-      "ltc_push_attempts_total", "Push delivery attempts (first tries and "
-      "retries both count).");
-  retries_counter_ = &registry->CounterOf(
-      "ltc_push_retries_total", "Push re-attempts after a transport failure.");
-  rejected_counter_ = &registry->CounterOf(
-      "ltc_push_rejected_total",
-      "Pushes terminally rejected by the aggregator (typed error).");
-  delivered_counter_ = &registry->CounterOf(
-      "ltc_push_delivered_total", "Pushes acknowledged with kOk.");
+void SketchPusher::Collect(telemetry::MetricsRegistry& registry) const {
+  registry
+      .CounterOf("ltc_push_attempts_total",
+                 "Push delivery attempts (first tries and retries both "
+                 "count).")
+      .SetFromSample(attempts_);
+  registry
+      .CounterOf("ltc_push_retries_total",
+                 "Push re-attempts after a transport failure.")
+      .SetFromSample(retries_);
+  registry
+      .CounterOf("ltc_push_rejected_total",
+                 "Pushes terminally rejected by the aggregator (typed error).")
+      .SetFromSample(rejected_);
+  registry
+      .CounterOf("ltc_push_delivered_total", "Pushes acknowledged with kOk.")
+      .SetFromSample(delivered_);
 }
 
 SketchPusher::Result SketchPusher::Push(const Ltc& table, uint64_t epoch_seq,
@@ -183,12 +189,10 @@ SketchPusher::Result SketchPusher::PushSerialized(std::string_view sketch_bytes,
   const std::string frame = EncodeFrame(payload);
 
   Result result;
-  uint64_t retries_before = retries_;
   const bool delivered = RetryWithBackoff(
       config_.retry, *clock_,
       [&] {
         attempts_++;
-        if (attempts_counter_ != nullptr) attempts_counter_->Increment();
         telemetry::Span attempt_span("push.attempt");
         attempt_span.AddAttr("attempt", attempts_);
         if (Attempt(frame, &result)) return true;
@@ -197,9 +201,6 @@ SketchPusher::Result SketchPusher::PushSerialized(std::string_view sketch_bytes,
         return false;
       },
       &retries_);
-  if (retries_counter_ != nullptr && retries_ > retries_before) {
-    retries_counter_->Increment(retries_ - retries_before);
-  }
 
   if (!delivered) {
     // Every attempt failed at the transport level; result.error holds
@@ -209,11 +210,9 @@ SketchPusher::Result SketchPusher::PushSerialized(std::string_view sketch_bytes,
   }
   if (result.terminal) {
     rejected_++;
-    if (rejected_counter_ != nullptr) rejected_counter_->Increment();
     return result;
   }
   delivered_++;
-  if (delivered_counter_ != nullptr) delivered_counter_->Increment();
   return result;
 }
 

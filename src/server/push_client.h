@@ -131,8 +131,9 @@ class SketchPusher {
   SketchPusher(const SketchPusher&) = delete;
   SketchPusher& operator=(const SketchPusher&) = delete;
 
-  /// Registers ltc_push_* families; the registry must outlive this.
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
+  /// Publishes the ltc_push_* families (docs/TELEMETRY.md) from the
+  /// pusher's own counters. Call it from the pushing thread.
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
   /// Pushes `table` (finalized — Finalize the clone first) as epoch
   /// `epoch_seq`, blocking through the retry schedule. `records` is the
@@ -161,11 +162,6 @@ class SketchPusher {
   uint64_t retries_ = 0;
   uint64_t rejected_ = 0;
   uint64_t delivered_ = 0;
-
-  telemetry::Counter* attempts_counter_ = nullptr;
-  telemetry::Counter* retries_counter_ = nullptr;
-  telemetry::Counter* rejected_counter_ = nullptr;
-  telemetry::Counter* delivered_counter_ = nullptr;
 };
 
 }  // namespace server

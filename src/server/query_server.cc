@@ -1,7 +1,5 @@
 #include "server/query_server.h"
 
-#include "server/aggregator.h"
-
 #include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
@@ -44,19 +42,13 @@ QueryServer::QueryServer(const ReadSnapshotHub& hub, const KeyCodec& codec,
 
 QueryServer::~QueryServer() { Stop(); }
 
-void QueryServer::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
+void QueryServer::Collect(telemetry::MetricsRegistry& registry) const {
   static constexpr Opcode kOps[] = {
       Opcode::kPing,                 Opcode::kTopK,
       Opcode::kEstimateSignificance, Opcode::kEstimateFrequency,
       Opcode::kEstimatePersistency,  Opcode::kStats,
       Opcode::kPushSketch,           Opcode::kDumpTrace,
   };
-  for (Opcode op : kOps) {
-    op_counters_[static_cast<size_t>(op)] = &registry->CounterOf(
-        "ltc_server_requests_total", "Requests handled, by opcode.",
-        {{"op", OpcodeName(op)}});
-  }
   static constexpr Status kErrs[] = {
       Status::kErrUnknownOpcode,  Status::kErrMalformed,
       Status::kErrBadKey,         Status::kErrOversized,
@@ -64,36 +56,56 @@ void QueryServer::AttachMetrics(telemetry::MetricsRegistry* registry) {
       Status::kErrShapeMismatch,  Status::kErrStaleEpoch,
       Status::kErrBadSketch,      Status::kErrNotAggregator,
   };
-  for (Status st : kErrs) {
-    error_counters_[static_cast<size_t>(st)] = &registry->CounterOf(
-        "ltc_server_errors_total", "Error responses sent, by kind.",
-        {{"kind", StatusName(st)}});
+  const DispatchStats stats = dispatcher_.stats();
+  for (Opcode op : kOps) {
+    registry
+        .CounterOf("ltc_server_requests_total", "Requests handled, by opcode.",
+                   {{"op", OpcodeName(op)}})
+        .SetFromSample(stats.by_opcode[static_cast<size_t>(op)]);
   }
-  request_duration_usec_ = &registry->HistogramOf(
-      "ltc_server_request_duration_usec",
-      "Wall time from frame decode to response enqueue, microseconds.");
-  connections_total_ = &registry->CounterOf(
-      "ltc_server_connections_opened_total", "Client connections accepted.");
-  connections_rejected_total_ = &registry->CounterOf(
-      "ltc_server_connections_rejected_total",
-      "Connections refused because max_connections was reached.");
-  connections_idle_closed_total_ = &registry->CounterOf(
-      "ltc_server_connections_idle_closed_total",
-      "Connections evicted after idle_timeout_usec without traffic.");
-  connections_open_ = &registry->GaugeOf("ltc_server_connections_open",
-                                         "Client connections currently open.");
-  snapshot_seq_gauge_ = &registry->GaugeOf(
-      "ltc_server_snapshot_seq",
-      "Publish sequence of the snapshot answering queries.");
-  bytes_read_total_ = &registry->CounterOf("ltc_server_bytes_read_total",
-                                           "Request bytes read from clients.");
-  bytes_written_total_ = &registry->CounterOf(
-      "ltc_server_bytes_written_total", "Response bytes written to clients.");
-}
-
-void QueryServer::AttachAggregator(AggregatorCore* aggregator) {
-  aggregator_ = aggregator;
-  dispatcher_.AttachAggregator(aggregator);
+  for (Status st : kErrs) {
+    registry
+        .CounterOf("ltc_server_errors_total", "Error responses sent, by kind.",
+                   {{"kind", StatusName(st)}})
+        .SetFromSample(stats.by_status[static_cast<size_t>(st)]);
+  }
+  registry
+      .HistogramOf("ltc_server_request_duration_usec",
+                   "Wall time from frame decode to response enqueue, "
+                   "microseconds.")
+      .SetFromSample(request_duration_usec_);
+  const auto load = [](const std::atomic<uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  registry
+      .CounterOf("ltc_server_connections_opened_total",
+                 "Client connections accepted.")
+      .SetFromSample(load(conns_opened_));
+  registry
+      .CounterOf("ltc_server_connections_rejected_total",
+                 "Connections refused because max_connections was reached.")
+      .SetFromSample(load(conns_rejected_));
+  registry
+      .CounterOf("ltc_server_connections_idle_closed_total",
+                 "Connections evicted after idle_timeout_usec without "
+                 "traffic.")
+      .SetFromSample(load(conns_idle_closed_));
+  registry
+      .GaugeOf("ltc_server_connections_open",
+               "Client connections currently open.")
+      .Set(static_cast<double>(load(conns_open_)));
+  registry
+      .GaugeOf("ltc_server_snapshot_seq",
+               "Publish sequence of the snapshot answering queries.")
+      .Set(static_cast<double>(load(snapshot_seq_)));
+  registry
+      .CounterOf("ltc_server_bytes_read_total",
+                 "Request bytes read from clients.")
+      .SetFromSample(load(bytes_read_));
+  registry
+      .CounterOf("ltc_server_bytes_written_total",
+                 "Response bytes written to clients.")
+      .SetFromSample(load(bytes_written_));
 }
 
 bool QueryServer::Start(std::string* error) {
@@ -160,7 +172,7 @@ void QueryServer::CloseConn(Conn& conn) {
   if (conn.fd < 0) return;
   ::close(conn.fd);
   conn.fd = -1;
-  if (connections_open_ != nullptr) connections_open_->Add(-1.0);
+  conns_open_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool QueryServer::FlushWrites(Conn& conn) {
@@ -171,9 +183,8 @@ bool QueryServer::FlushWrites(Conn& conn) {
     if (n > 0) {
       conn.out_off += static_cast<size_t>(n);
       conn.last_activity_usec = NowMicros();
-      if (bytes_written_total_ != nullptr) {
-        bytes_written_total_->Increment(static_cast<uint64_t>(n));
-      }
+      bytes_written_.fetch_add(static_cast<uint64_t>(n),
+                               std::memory_order_relaxed);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -190,25 +201,9 @@ bool QueryServer::FlushWrites(Conn& conn) {
   return true;
 }
 
-void QueryServer::RecordRequest(std::string_view request_payload,
-                                std::string_view response_payload,
-                                uint64_t micros) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  const size_t status =
-      response_payload.empty()
-          ? static_cast<size_t>(Status::kErrMalformed)
-          : static_cast<size_t>(static_cast<uint8_t>(response_payload[0]));
-  if (status != 0) errors_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ == nullptr) return;
-  if (!request_payload.empty()) {
-    const size_t op = static_cast<uint8_t>(request_payload[0]);
-    if (op < 9 && op_counters_[op] != nullptr) op_counters_[op]->Increment();
-  }
-  if (status < 11 && error_counters_[status] != nullptr) {
-    error_counters_[status]->Increment();
-  }
-  request_duration_usec_->Record(micros);
-  snapshot_seq_gauge_->Set(static_cast<double>(hub_.PublishedSeq()));
+void QueryServer::RecordRequest(uint64_t micros) {
+  request_duration_usec_.Record(micros);
+  snapshot_seq_.store(hub_.PublishedSeq(), std::memory_order_relaxed);
 }
 
 bool QueryServer::HandleReadable(Conn& conn) {
@@ -216,9 +211,8 @@ bool QueryServer::HandleReadable(Conn& conn) {
   while (true) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      if (bytes_read_total_ != nullptr) {
-        bytes_read_total_->Increment(static_cast<uint64_t>(n));
-      }
+      bytes_read_.fetch_add(static_cast<uint64_t>(n),
+                            std::memory_order_relaxed);
       conn.last_activity_usec = NowMicros();
       conn.parser.Feed(std::string_view(buf, static_cast<size_t>(n)));
       // Be fair: one whole frame per turn, then the other connections
@@ -242,15 +236,14 @@ bool QueryServer::HandleReadable(Conn& conn) {
     if (!payload.has_value()) break;
     const uint64_t t0 = NowMicros();
     const std::string response = dispatcher_.Handle(*payload);
-    RecordRequest(*payload, response, NowMicros() - t0);
+    RecordRequest(NowMicros() - t0);
     conn.out += EncodeFrame(response);
   }
   if (conn.parser.oversized() && !conn.close_after_flush) {
     // The length prefix itself is untrusted, so the stream cannot be
     // resynchronized: answer with a typed error, then hang up cleanly.
-    const std::string response = EncodeErrorResponse(
-        Status::kErrOversized, "frame length above protocol maximum");
-    RecordRequest(std::string_view(), response, 0);
+    const std::string response = dispatcher_.RejectOversized();
+    RecordRequest(0);
     conn.out += EncodeFrame(response);
     conn.close_after_flush = true;
   }
@@ -272,9 +265,6 @@ void QueryServer::HandleListener() {
     if (open >= config_.max_connections) {
       ::close(fd);
       conns_rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (connections_rejected_total_ != nullptr) {
-        connections_rejected_total_->Increment();
-      }
       continue;
     }
     auto conn = std::make_unique<Conn>(config_.max_frame_bytes,
@@ -283,8 +273,7 @@ void QueryServer::HandleListener() {
     conn->last_activity_usec = NowMicros();
     conns_.push_back(std::move(conn));
     conns_opened_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_total_ != nullptr) connections_total_->Increment();
-    if (connections_open_ != nullptr) connections_open_->Add(1.0);
+    conns_open_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -319,12 +308,12 @@ void QueryServer::Loop() {
       fds.push_back({conn->fd, events, 0});
     }
 
-    // Idle eviction and aggregator upkeep need time to pass even when
-    // no socket stirs, so those modes poll with a finite timeout.
+    // Idle eviction needs time to pass even when no socket stirs, so it
+    // polls with a finite timeout.
     int timeout_ms = -1;
     if (draining) {
       timeout_ms = 20;
-    } else if (config_.idle_timeout_usec > 0 || aggregator_ != nullptr) {
+    } else if (config_.idle_timeout_usec > 0) {
       timeout_ms = 250;
     }
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
@@ -367,14 +356,10 @@ void QueryServer::Loop() {
           continue;
         }
         conns_idle_closed_.fetch_add(1, std::memory_order_relaxed);
-        if (connections_idle_closed_total_ != nullptr) {
-          connections_idle_closed_total_->Increment();
-        }
         ::shutdown(conn->fd, SHUT_WR);
         CloseConn(*conn);
       }
     }
-    if (aggregator_ != nullptr) aggregator_->Tick();
     std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) {
       return c->fd < 0;
     });

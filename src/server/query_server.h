@@ -82,17 +82,20 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Registers the ltc_server_* families. Call before Start; the
-  /// registry must outlive the server. The event loop updates the
-  /// metrics directly (they are lock-free by design).
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
+  /// Publishes the ltc_server_* families (docs/TELEMETRY.md) from the
+  /// server's own counters and the dispatcher's. Any thread, while the
+  /// loop runs or after Stop: every value it reads is a relaxed atomic
+  /// (or an atomic histogram) that only the loop thread writes.
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
   /// Turns this server into the aggregation tier's front end: the event
-  /// loop dispatches PUSH_SKETCH into `aggregator` and ticks its
-  /// staleness upkeep between polls. Call before Start (the aggregator
-  /// is then driven exclusively by the loop thread, which also makes it
-  /// the hub's single publisher). Must outlive the server.
-  void AttachAggregator(AggregatorCore* aggregator);
+  /// loop dispatches PUSH_SKETCH into `aggregator`. Call before Start
+  /// (the aggregator is then driven exclusively by the loop thread,
+  /// which also makes it the hub's single publisher). Must outlive the
+  /// server.
+  void AttachAggregator(AggregatorCore* aggregator) {
+    dispatcher_.AttachAggregator(aggregator);
+  }
 
   /// Binds, listens and spawns the event loop. False (with `error`)
   /// when the socket setup fails; the server is then inert and Start
@@ -111,12 +114,8 @@ class QueryServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   // Operational counters (any thread).
-  uint64_t TotalRequests() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t TotalErrors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalRequests() const { return dispatcher_.stats().requests; }
+  uint64_t TotalErrors() const { return dispatcher_.stats().errors; }
   uint64_t ConnectionsOpened() const {
     return conns_opened_.load(std::memory_order_relaxed);
   }
@@ -125,6 +124,12 @@ class QueryServer {
   }
   uint64_t ConnectionsIdleClosed() const {
     return conns_idle_closed_.load(std::memory_order_relaxed);
+  }
+  uint64_t BytesRead() const {
+    return bytes_read_.load(std::memory_order_relaxed);
+  }
+  uint64_t BytesWritten() const {
+    return bytes_written_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -148,13 +153,11 @@ class QueryServer {
   /// Flushes the out buffer. False = fatal write error, close now.
   bool FlushWrites(Conn& conn);
   void CloseConn(Conn& conn);
-  void RecordRequest(std::string_view request_payload,
-                     std::string_view response_payload, uint64_t micros);
+  void RecordRequest(uint64_t micros);
 
   const ReadSnapshotHub& hub_;
   QueryServerConfig config_;
   QueryDispatcher dispatcher_;
-  AggregatorCore* aggregator_ = nullptr;
 
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  // self-pipe: Stop() wakes poll()
@@ -166,24 +169,16 @@ class QueryServer {
 
   std::vector<std::unique_ptr<Conn>> conns_;
 
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
+  // Loop-thread-written, read by Collect and the accessors from any
+  // thread. Request and error counts live in the dispatcher.
   std::atomic<uint64_t> conns_opened_{0};
   std::atomic<uint64_t> conns_rejected_{0};
   std::atomic<uint64_t> conns_idle_closed_{0};
-
-  // Metrics (resolved once at AttachMetrics; loop-thread-written).
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Counter* op_counters_[9] = {};      // index = Opcode value
-  telemetry::Counter* error_counters_[11] = {};  // index = Status value
-  telemetry::Histogram* request_duration_usec_ = nullptr;
-  telemetry::Counter* connections_total_ = nullptr;
-  telemetry::Counter* connections_rejected_total_ = nullptr;
-  telemetry::Counter* connections_idle_closed_total_ = nullptr;
-  telemetry::Gauge* connections_open_ = nullptr;
-  telemetry::Gauge* snapshot_seq_gauge_ = nullptr;
-  telemetry::Counter* bytes_read_total_ = nullptr;
-  telemetry::Counter* bytes_written_total_ = nullptr;
+  std::atomic<uint64_t> conns_open_{0};
+  std::atomic<uint64_t> bytes_read_{0};
+  std::atomic<uint64_t> bytes_written_{0};
+  std::atomic<uint64_t> snapshot_seq_{0};  // hub seq at the last request
+  telemetry::Histogram request_duration_usec_;
 };
 
 }  // namespace server

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 #include "telemetry/trace.h"
 
@@ -90,54 +91,58 @@ std::optional<uint64_t> SnapshotStore::Save(std::string_view payload,
       [&] { return AtomicWriteFile(*fs_, PathOf(seq), frame, error); },
       &retries);
   save_retries_total_ += retries;
-  if (save_retries_ != nullptr && retries > 0) save_retries_->Increment(retries);
   if (!wrote) {
-    if (saves_failed_ != nullptr) saves_failed_->Increment();
+    ++saves_failed_;
     return std::nullopt;
   }
   next_seq_ = seq + 1;
   Prune();
-  if (saves_ok_ != nullptr) {
-    saves_ok_->Increment();
-    save_bytes_->Record(frame.size());
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const auto usec =
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count();
-    save_duration_usec_->Record(usec > 0 ? static_cast<uint64_t>(usec) : 0);
-  }
+  ++saves_ok_;
+  save_bytes_.Record(frame.size());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const auto usec =
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
+  save_duration_usec_.Record(usec > 0 ? static_cast<uint64_t>(usec) : 0);
   return seq;
 }
 
-void SnapshotStore::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
-  if (registry == nullptr) {
-    saves_ok_ = nullptr;
-    saves_failed_ = nullptr;
-    save_retries_ = nullptr;
-    save_bytes_ = nullptr;
-    save_duration_usec_ = nullptr;
-    recovery_walkback_depth_ = nullptr;
-    return;
+void SnapshotStore::Collect(telemetry::MetricsRegistry& registry) const {
+  const char* saves_help = "Snapshot save attempts by result";
+  registry.CounterOf("ltc_snapshot_saves_total", saves_help, {{"result", "ok"}})
+      .SetFromSample(saves_ok_);
+  registry
+      .CounterOf("ltc_snapshot_saves_total", saves_help,
+                 {{"result", "error"}})
+      .SetFromSample(saves_failed_);
+  registry
+      .CounterOf("ltc_snapshot_save_retries_total",
+                 "Write re-attempts Save() made under its backoff policy")
+      .SetFromSample(save_retries_total_);
+  registry
+      .HistogramOf("ltc_snapshot_bytes",
+                   "Size of persisted snapshot frames in bytes")
+      .SetFromSample(save_bytes_);
+  registry
+      .HistogramOf("ltc_snapshot_save_duration_usec",
+                   "Latency of successful snapshot saves (encode + atomic "
+                   "write + prune) in microseconds")
+      .SetFromSample(save_duration_usec_);
+  registry
+      .HistogramOf("ltc_snapshot_recovery_walkback_depth",
+                   "Snapshots skipped before LoadLatest found a valid one")
+      .SetFromSample(recovery_walkback_depth_);
+  // One series per error type the walk has met: the label values are
+  // the frame taxonomy's names, so only the observed ones appear.
+  for (size_t e = 0; e < std::size(load_errors_); ++e) {
+    if (load_errors_[e] == 0) continue;
+    const char* name = SnapshotErrorName(static_cast<SnapshotError>(e));
+    registry
+        .CounterOf("ltc_snapshot_load_errors_total",
+                   "Snapshot candidates the recovery walk skipped, by "
+                   "rejection reason",
+                   {{"error", name}})
+        .SetFromSample(load_errors_[e]);
   }
-  saves_ok_ = &registry->CounterOf("ltc_snapshot_saves_total",
-                                   "Snapshot save attempts by result",
-                                   {{"result", "ok"}});
-  saves_failed_ = &registry->CounterOf("ltc_snapshot_saves_total",
-                                       "Snapshot save attempts by result",
-                                       {{"result", "error"}});
-  save_retries_ = &registry->CounterOf(
-      "ltc_snapshot_save_retries_total",
-      "Write re-attempts Save() made under its backoff policy");
-  save_bytes_ = &registry->HistogramOf(
-      "ltc_snapshot_bytes", "Size of persisted snapshot frames in bytes");
-  save_duration_usec_ = &registry->HistogramOf(
-      "ltc_snapshot_save_duration_usec",
-      "Latency of successful snapshot saves (encode + atomic write + "
-      "prune) in microseconds");
-  recovery_walkback_depth_ = &registry->HistogramOf(
-      "ltc_snapshot_recovery_walkback_depth",
-      "Snapshots skipped before LoadLatest found a valid one");
 }
 
 void SnapshotStore::Prune() {
@@ -150,17 +155,8 @@ void SnapshotStore::Prune() {
 std::optional<SnapshotStore::Recovered> SnapshotStore::LoadLatest(
     std::string* error, const PayloadValidator& validate) const {
   telemetry::Span span("snapshot.load");
-  // Per-error-type skip counter; label values are dynamic, so this one
-  // goes through the registry (find-or-create under its mutex) instead
-  // of a cached reference. Recovery is far off any hot path.
   const auto count_skip = [this](SnapshotError skip_error) {
-    if (metrics_ == nullptr) return;
-    metrics_
-        ->CounterOf("ltc_snapshot_load_errors_total",
-                    "Snapshot candidates the recovery walk skipped, by "
-                    "rejection reason",
-                    {{"error", SnapshotErrorName(skip_error)}})
-        .Increment();
+    ++load_errors_[static_cast<size_t>(skip_error)];
   };
   const auto snapshots = ListSnapshots();
   if (snapshots.empty()) {
@@ -192,9 +188,7 @@ std::optional<SnapshotStore::Recovered> SnapshotStore::LoadLatest(
     }
     result.payload.assign(decoded.payload.data(), decoded.payload.size());
     result.seq = candidate.seq;
-    if (recovery_walkback_depth_ != nullptr) {
-      recovery_walkback_depth_->Record(result.skipped.size());
-    }
+    recovery_walkback_depth_.Record(result.skipped.size());
     span.AddAttr("walkback_depth", result.skipped.size());
     return result;
   }

@@ -102,13 +102,13 @@ class SnapshotStore {
 
   const std::string& base_path() const { return base_path_; }
 
-  /// Attaches a metrics registry (docs/TELEMETRY.md): Save() then
-  /// records the ltc_snapshot_* save counters/histograms and
-  /// LoadLatest() the recovery walk-back depth and per-error-type skip
-  /// counts (so failpoint-injected faults are visible). nullptr
-  /// detaches. The registry must outlive the store (or be detached
-  /// first); not thread-safe, like the store itself.
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
+  /// Publishes the ltc_snapshot_* families (docs/TELEMETRY.md) from
+  /// the store's own counters: save outcomes, retries, frame sizes and
+  /// save latency, recovery walk-back depth, and LoadLatest()'s skips
+  /// by error type (so failpoint-injected faults are visible). Call it
+  /// from the thread that drives the store; it is not thread-safe, like
+  /// the store itself.
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
  private:
   std::string PathOf(uint64_t seq) const;
@@ -119,17 +119,16 @@ class SnapshotStore {
   Fs* fs_;
   Clock* clock_;
   uint64_t next_seq_ = 0;  // 0 = not yet derived from the directory
+  uint64_t saves_ok_ = 0;
+  uint64_t saves_failed_ = 0;
   uint64_t save_retries_total_ = 0;
+  telemetry::Histogram save_bytes_;
+  telemetry::Histogram save_duration_usec_;
 
-  // Metrics (resolved once at AttachMetrics; the per-error-type skip
-  // counter is looked up on demand because its label value is dynamic).
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Counter* saves_ok_ = nullptr;
-  telemetry::Counter* saves_failed_ = nullptr;
-  telemetry::Counter* save_retries_ = nullptr;
-  telemetry::Histogram* save_bytes_ = nullptr;
-  telemetry::Histogram* save_duration_usec_ = nullptr;
-  telemetry::Histogram* recovery_walkback_depth_ = nullptr;
+  // Recovery-walk outcomes; LoadLatest() is const, the walk still counts.
+  mutable telemetry::Histogram recovery_walkback_depth_;
+  mutable uint64_t load_errors_[static_cast<size_t>(SnapshotError::kNotFound) +
+                                1] = {};  // index = SnapshotError
 };
 
 }  // namespace ltc

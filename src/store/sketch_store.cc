@@ -7,6 +7,7 @@
 #include "common/serial.h"
 #include "store/page.h"
 #include "store/wal.h"
+#include "telemetry/trace.h"
 
 namespace ltc {
 namespace store {
@@ -59,6 +60,8 @@ bool SketchStore::Poisoned(std::string* error) const {
 
 bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
                       std::string* error) {
+  telemetry::Span span("store.put");
+  span.AddAttr("tenant", tenant);
   if (Poisoned(error)) return false;
   BinaryWriter writer;
   sketch.Serialize(writer);
@@ -110,9 +113,9 @@ bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
     tenant_pages_[tenant] = static_cast<uint32_t>(pages.size());
     ++stats_.puts;
     ++stats_.clean_puts;
-    PublishMetrics();
     return true;
   }
+  span.AddAttr("dirty_pages", dirty.size());
 
   // Log-before-dirty: ONE record carrying every changed page, durable
   // before any frame changes. Whole-record CRC framing makes the Put
@@ -129,26 +132,35 @@ bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
   }
   const std::string bytes = EncodeWalRecord(record);
   const std::string wal_path = disk_.WalPath();
-  if (!disk_.fs().AppendAll(wal_path, bytes)) {
-    if (error != nullptr) {
-      *error = "cannot append to WAL '" + wal_path + "'";
-    }
-    return false;
-  }
-  if (!disk_.fs().Sync(wal_path)) {
-    if (error != nullptr) {
-      *error = "cannot fsync WAL '" + wal_path + "'";
-    }
-    return false;
-  }
-  if (!wal_dir_synced_) {
-    if (!disk_.fs().SyncDir(disk_.dir())) {
+  {
+    telemetry::Span append_span("wal.append");
+    append_span.AddAttr("bytes", bytes.size());
+    if (!disk_.fs().AppendAll(wal_path, bytes)) {
       if (error != nullptr) {
-        *error = "cannot fsync store directory '" + disk_.dir() + "'";
+        *error = "cannot append to WAL '" + wal_path + "'";
       }
       return false;
     }
-    wal_dir_synced_ = true;
+  }
+  {
+    // The record is durable once the log and, the first time, its
+    // directory entry are synced.
+    telemetry::Span sync_span("wal.sync");
+    if (!disk_.fs().Sync(wal_path)) {
+      if (error != nullptr) {
+        *error = "cannot fsync WAL '" + wal_path + "'";
+      }
+      return false;
+    }
+    if (!wal_dir_synced_) {
+      if (!disk_.fs().SyncDir(disk_.dir())) {
+        if (error != nullptr) {
+          *error = "cannot fsync store directory '" + disk_.dir() + "'";
+        }
+        return false;
+      }
+      wal_dir_synced_ = true;
+    }
   }
 
   // Pass 2 — commit to the pool. The record is durable, so a failure
@@ -174,15 +186,12 @@ bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
   ++stats_.puts;
   ++stats_.wal_records;
   stats_.wal_bytes += bytes.size();
-  if (wal_records_ != nullptr) {
-    wal_records_->Increment();
-    wal_bytes_->Increment(bytes.size());
-  }
-  PublishMetrics();
   return true;
 }
 
 std::optional<Ltc> SketchStore::Get(uint64_t tenant, std::string* error) {
+  telemetry::Span span("store.get");
+  span.AddAttr("tenant", tenant);
   if (Poisoned(error)) return std::nullopt;
   auto known = tenant_pages_.find(tenant);
   if (known == tenant_pages_.end()) {
@@ -209,7 +218,6 @@ std::optional<Ltc> SketchStore::Get(uint64_t tenant, std::string* error) {
     return std::nullopt;
   }
   ++stats_.gets;
-  PublishMetrics();
   return sketch;
 }
 
@@ -221,15 +229,15 @@ bool SketchStore::EvictTenant(uint64_t tenant, std::string* error) {
     }
     return false;
   }
-  const bool ok = pool_->DropTenant(tenant, error);
-  PublishMetrics();
-  return ok;
+  return pool_->DropTenant(tenant, error);
 }
 
 bool SketchStore::CheckpointDirty(std::string* error) {
+  telemetry::Span span("store.checkpoint");
   if (Poisoned(error)) return false;
   const auto start = std::chrono::steady_clock::now();
   const size_t dirty_pages = pool_->dirty_count();
+  span.AddAttr("dirty_pages", dirty_pages);
   if (!pool_->FlushDirty(error)) return false;
   // Every logged delta is now in a durable page file; retire the log.
   const std::string wal_path = disk_.WalPath();
@@ -249,17 +257,11 @@ bool SketchStore::CheckpointDirty(std::string* error) {
     wal_dir_synced_ = false;
   }
   ++stats_.checkpoints;
-  if (checkpoints_ != nullptr) {
-    checkpoints_->Increment();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    const auto usec =
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count();
-    checkpoint_duration_usec_->Record(usec > 0 ? static_cast<uint64_t>(usec)
-                                               : 0);
-    checkpoint_dirty_pages_->Record(dirty_pages);
-  }
-  PublishMetrics();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const auto usec =
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
+  checkpoint_duration_usec_.Record(usec > 0 ? static_cast<uint64_t>(usec) : 0);
+  checkpoint_dirty_pages_.Record(dirty_pages);
   return true;
 }
 
@@ -275,93 +277,85 @@ uint32_t SketchStore::PageCountOf(uint64_t tenant) const {
   return it == tenant_pages_.end() ? 0 : it->second;
 }
 
-void SketchStore::AttachMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
-  if (registry == nullptr) {
-    pages_in_ = pages_out_ = page_hits_ = page_misses_ = nullptr;
-    evictions_clean_ = evictions_dirty_ = nullptr;
-    wal_records_ = wal_bytes_ = checkpoints_ = nullptr;
-    tenants_gauge_ = frames_resident_ = frames_dirty_ = nullptr;
-    checkpoint_duration_usec_ = checkpoint_dirty_pages_ = nullptr;
-    return;
-  }
-  pages_in_ = &registry->CounterOf(
-      "ltc_store_pages_in_total",
-      "Page images loaded from page files into the buffer pool");
-  pages_out_ = &registry->CounterOf(
-      "ltc_store_pages_out_total",
-      "Page images written back to page files (evictions + checkpoints)");
-  page_hits_ = &registry->CounterOf(
-      "ltc_store_page_hits_total", "Buffer-pool fetches served by a "
-      "resident frame");
-  page_misses_ = &registry->CounterOf(
-      "ltc_store_page_misses_total",
-      "Buffer-pool fetches that went to disk (or created a fresh page)");
-  evictions_clean_ = &registry->CounterOf(
-      "ltc_store_evictions_total",
-      "Frames the CLOCK hand evicted, by whether a write-back was owed",
-      {{"kind", "clean"}});
-  evictions_dirty_ = &registry->CounterOf(
-      "ltc_store_evictions_total",
-      "Frames the CLOCK hand evicted, by whether a write-back was owed",
-      {{"kind", "dirty"}});
-  wal_records_ = &registry->CounterOf(
-      "ltc_store_wal_records_total",
-      "Atomic multi-page records appended to the write-ahead log");
-  wal_bytes_ = &registry->CounterOf(
-      "ltc_store_wal_bytes_total",
-      "Bytes appended to the write-ahead log");
-  checkpoints_ = &registry->CounterOf(
-      "ltc_store_checkpoints_total",
-      "CheckpointDirty calls that flushed and truncated the WAL");
+void SketchStore::Collect(telemetry::MetricsRegistry& registry) const {
+  const BufferPool::Stats& pool = pool_->stats();
+  registry
+      .CounterOf("ltc_store_pages_in_total",
+                 "Page images loaded from page files into the buffer pool")
+      .SetFromSample(pool.pages_loaded);
+  registry
+      .CounterOf("ltc_store_pages_out_total",
+                 "Page images written back to page files (evictions + "
+                 "checkpoints)")
+      .SetFromSample(pool.pages_stored);
+  registry
+      .CounterOf("ltc_store_page_hits_total",
+                 "Buffer-pool fetches served by a resident frame")
+      .SetFromSample(pool.hits);
+  registry
+      .CounterOf("ltc_store_page_misses_total",
+                 "Buffer-pool fetches that went to disk (or created a fresh "
+                 "page)")
+      .SetFromSample(pool.misses);
+  const char* evictions_help =
+      "Frames the CLOCK hand evicted, by whether a write-back was owed";
+  registry
+      .CounterOf("ltc_store_evictions_total", evictions_help,
+                 {{"kind", "clean"}})
+      .SetFromSample(pool.evictions_clean);
+  registry
+      .CounterOf("ltc_store_evictions_total", evictions_help,
+                 {{"kind", "dirty"}})
+      .SetFromSample(pool.evictions_dirty);
+  registry
+      .CounterOf("ltc_store_wal_records_total",
+                 "Atomic multi-page records appended to the write-ahead log")
+      .SetFromSample(stats_.wal_records);
+  registry
+      .CounterOf("ltc_store_wal_bytes_total",
+                 "Bytes appended to the write-ahead log")
+      .SetFromSample(stats_.wal_bytes);
+  registry
+      .CounterOf("ltc_store_checkpoints_total",
+                 "CheckpointDirty calls that flushed and truncated the WAL")
+      .SetFromSample(stats_.checkpoints);
   const char* replay_help =
       "WAL page deltas at the last Open, by replay outcome";
   registry
-      ->CounterOf("ltc_store_replay_deltas_total", replay_help,
-                  {{"outcome", "applied"}})
+      .CounterOf("ltc_store_replay_deltas_total", replay_help,
+                 {{"outcome", "applied"}})
       .SetFromSample(recovery_.deltas_applied);
   registry
-      ->CounterOf("ltc_store_replay_deltas_total", replay_help,
-                  {{"outcome", "stale"}})
+      .CounterOf("ltc_store_replay_deltas_total", replay_help,
+                 {{"outcome", "stale"}})
       .SetFromSample(recovery_.deltas_stale);
   registry
-      ->CounterOf("ltc_store_replay_torn_tails_total",
-                  "WAL tails truncated at a bad frame during recovery")
+      .CounterOf("ltc_store_replay_torn_tails_total",
+                 "WAL tails truncated at a bad frame during recovery")
       .SetFromSample(recovery_.torn_tail ? 1 : 0);
   registry
-      ->CounterOf("ltc_store_corrupt_pages_total",
-                  "Page files that failed frame checks during recovery")
+      .CounterOf("ltc_store_corrupt_pages_total",
+                 "Page files that failed frame checks during recovery")
       .SetFromSample(recovery_.corrupt_pages);
-  tenants_gauge_ = &registry->GaugeOf(
-      "ltc_store_tenants", "Tenant sketches the store currently hosts");
-  frames_resident_ = &registry->GaugeOf(
-      "ltc_store_frames_resident",
-      "Page frames resident in the buffer pool");
-  frames_dirty_ = &registry->GaugeOf(
-      "ltc_store_frames_dirty",
-      "Resident frames owing a write-back");
-  checkpoint_duration_usec_ = &registry->HistogramOf(
-      "ltc_store_checkpoint_duration_usec",
-      "Latency of incremental checkpoints (flush dirty + truncate WAL) "
-      "in microseconds");
-  checkpoint_dirty_pages_ = &registry->HistogramOf(
-      "ltc_store_checkpoint_dirty_pages",
-      "Dirty pages each incremental checkpoint had to write back");
-  PublishMetrics();
-}
-
-void SketchStore::PublishMetrics() {
-  if (metrics_ == nullptr) return;
-  const BufferPool::Stats& pool_stats = pool_->stats();
-  pages_in_->SetFromSample(pool_stats.pages_loaded);
-  pages_out_->SetFromSample(pool_stats.pages_stored);
-  page_hits_->SetFromSample(pool_stats.hits);
-  page_misses_->SetFromSample(pool_stats.misses);
-  evictions_clean_->SetFromSample(pool_stats.evictions_clean);
-  evictions_dirty_->SetFromSample(pool_stats.evictions_dirty);
-  tenants_gauge_->Set(static_cast<double>(tenant_pages_.size()));
-  frames_resident_->Set(static_cast<double>(pool_->resident()));
-  frames_dirty_->Set(static_cast<double>(pool_->dirty_count()));
+  registry
+      .GaugeOf("ltc_store_tenants", "Tenant sketches the store currently hosts")
+      .Set(static_cast<double>(tenant_pages_.size()));
+  registry
+      .GaugeOf("ltc_store_frames_resident",
+               "Page frames resident in the buffer pool")
+      .Set(static_cast<double>(pool_->resident()));
+  registry
+      .GaugeOf("ltc_store_frames_dirty", "Resident frames owing a write-back")
+      .Set(static_cast<double>(pool_->dirty_count()));
+  registry
+      .HistogramOf("ltc_store_checkpoint_duration_usec",
+                   "Latency of incremental checkpoints (flush dirty + "
+                   "truncate WAL) in microseconds")
+      .SetFromSample(checkpoint_duration_usec_);
+  registry
+      .HistogramOf("ltc_store_checkpoint_dirty_pages",
+                   "Dirty pages each incremental checkpoint had to write back")
+      .SetFromSample(checkpoint_dirty_pages_);
 }
 
 }  // namespace store

@@ -98,7 +98,12 @@ class SketchStore {
   /// Pages the tenant occupies (0 when unknown).
   uint32_t PageCountOf(uint64_t tenant) const;
 
-  void AttachMetrics(telemetry::MetricsRegistry* registry);
+  /// Publishes the ltc_store_* families (docs/TELEMETRY.md) from the
+  /// store's own counters: its Stats, the buffer pool's Stats, the
+  /// RecoveryReport of the last Open, occupancy gauges and the
+  /// checkpoint histograms. Call it from the thread that drives the
+  /// store; it is not thread-safe, like the store itself.
+  void Collect(telemetry::MetricsRegistry& registry) const;
 
   const Stats& stats() const { return stats_; }
   const RecoveryReport& recovery() const { return recovery_; }
@@ -112,9 +117,6 @@ class SketchStore {
   /// left memory behind the WAL (reopen to recover).
   bool Poisoned(std::string* error) const;
 
-  /// Mirrors pool counters/gauges into the registry (if attached).
-  void PublishMetrics();
-
   SketchStoreOptions options_;
   DiskManager disk_;
   std::unique_ptr<BufferPool> pool_;
@@ -125,21 +127,8 @@ class SketchStore {
   bool poisoned_ = false;
   Stats stats_;
 
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Counter* pages_in_ = nullptr;
-  telemetry::Counter* pages_out_ = nullptr;
-  telemetry::Counter* page_hits_ = nullptr;
-  telemetry::Counter* page_misses_ = nullptr;
-  telemetry::Counter* evictions_clean_ = nullptr;
-  telemetry::Counter* evictions_dirty_ = nullptr;
-  telemetry::Counter* wal_records_ = nullptr;
-  telemetry::Counter* wal_bytes_ = nullptr;
-  telemetry::Counter* checkpoints_ = nullptr;
-  telemetry::Gauge* tenants_gauge_ = nullptr;
-  telemetry::Gauge* frames_resident_ = nullptr;
-  telemetry::Gauge* frames_dirty_ = nullptr;
-  telemetry::Histogram* checkpoint_duration_usec_ = nullptr;
-  telemetry::Histogram* checkpoint_dirty_pages_ = nullptr;
+  telemetry::Histogram checkpoint_duration_usec_;
+  telemetry::Histogram checkpoint_dirty_pages_;
 };
 
 }  // namespace store

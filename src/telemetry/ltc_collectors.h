@@ -1,7 +1,9 @@
-// Bridges the core-layer LtcMetricsSink (plain per-table counters the
-// hot path increments) into a MetricsRegistry as the ltc_core_*
-// families. Header-only dependency on core/ltc_metrics_sink.h — no
-// link-time coupling between ltc_telemetry and ltc_core.
+// The collector of the core-layer LtcMetricsSink (plain per-table
+// counters the hot path increments): what Collect is to the other
+// components, PublishLtcSink is to a sink — it writes the sink's fields
+// into a MetricsRegistry as the ltc_core_* families. Header-only
+// dependency on core/ltc_metrics_sink.h — no link-time coupling between
+// ltc_telemetry and ltc_core.
 //
 // Call after the table is quiescent (single-threaded use, or after
 // IngestPipeline::Flush()/Stop() for per-shard sinks): publishing

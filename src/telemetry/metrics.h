@@ -45,10 +45,10 @@ class Counter {
   void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Bridge for sampling an external monotonic source (e.g. the plain
-  /// uint64 fields of LtcMetricsSink, or IngestPipeline's per-lane
-  /// atomics): overwrites the value with the latest sample. Only valid
-  /// when the source itself never decreases.
+  /// Publishes a counter its component owns (the plain uint64 fields of
+  /// LtcMetricsSink, IngestPipeline's per-lane atomics, ...): overwrites
+  /// the value with the latest sample. Only valid when the source itself
+  /// never decreases. Every component Collect() publishes this way.
   void SetFromSample(uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
  private:
@@ -94,6 +94,18 @@ class Histogram {
   void Record(uint64_t value) {
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
+  }
+
+  /// Publishes a histogram its component owns: overwrites every bucket
+  /// and the sum with `source`'s current values (the histogram analogue
+  /// of Counter::SetFromSample). Safe while `source` is being recorded
+  /// into; the copy is then a mix of two nearby moments, each bucket
+  /// monotone.
+  void SetFromSample(const Histogram& source) {
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      buckets_[i].store(source.BucketCount(i), std::memory_order_relaxed);
+    }
+    sum_.store(source.Sum(), std::memory_order_relaxed);
   }
 
   uint64_t BucketCount(size_t i) const {

@@ -150,8 +150,6 @@ TEST(AggregationChaos, FaultStormOfPushersConvergesBitIdentically) {
 
   telemetry::MetricsRegistry registry;
   AggregatorServer agg(config);
-  agg.aggregator.AttachMetrics(&registry);
-  agg.server->AttachMetrics(&registry);
   std::string error;
   ASSERT_TRUE(agg.server->Start(&error)) << error;
   const uint16_t port = agg.server->port();
@@ -315,6 +313,8 @@ TEST(AggregationChaos, FaultStormOfPushersConvergesBitIdentically) {
   EXPECT_GE(agg.aggregator.merges_total(), kNodes);
 
   // The telemetry rows registered and counted.
+  agg.aggregator.Collect(registry);
+  agg.server->Collect(registry);
   const std::string exposition = telemetry::ExpositionText(registry);
   EXPECT_NE(exposition.find("ltc_agg_merges_total"), std::string::npos);
   EXPECT_NE(exposition.find("ltc_agg_pushes_duplicate_total"),

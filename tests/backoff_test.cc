@@ -180,7 +180,6 @@ TEST_F(SnapshotRetryTest, SaveOutlastsAWriteErrorBurst) {
   FakeClock clock;
   SnapshotStore store(base_, config, &fs, &clock);
   telemetry::MetricsRegistry registry;
-  store.AttachMetrics(&registry);
 
   // A disk that stays broken for the first two writes: attempts 1 and 2
   // fail, attempt 3 lands the snapshot.
@@ -193,6 +192,7 @@ TEST_F(SnapshotRetryTest, SaveOutlastsAWriteErrorBurst) {
   ASSERT_EQ(clock.sleeps_usec().size(), 2u);
   EXPECT_EQ(clock.sleeps_usec()[0], 1'000u);
   EXPECT_EQ(clock.sleeps_usec()[1], 2'000u);
+  store.Collect(registry);
   EXPECT_EQ(registry
                 .CounterOf("ltc_snapshot_save_retries_total", "")
                 .Value(),

@@ -310,7 +310,6 @@ TEST(ChaosShedding, MetricsExposeShedStateAndHealth) {
   ingest.shed.high_watermark = 0.5;
   IngestPipeline pipeline(sink, ingest);
   telemetry::MetricsRegistry registry;
-  pipeline.AttachMetrics(&registry);
   pipeline.SuspendWorkersForTest(true);
 
   const Record record{3, 0.0};
@@ -318,7 +317,7 @@ TEST(ChaosShedding, MetricsExposeShedStateAndHealth) {
   pipeline.PushBatch(fill);
   while (!pipeline.ShardStatsOf(0).shedding) pipeline.Push(record.item);
   for (int i = 0; i < 10; ++i) pipeline.Push(record.item);
-  pipeline.SampleMetrics();
+  pipeline.Collect(registry);
 
   const telemetry::Labels shard0{{"shard", "0"}};
   EXPECT_GT(registry.CounterOf("ltc_ingest_shed_records_total", "", shard0)
@@ -362,7 +361,6 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   ingest.checkpoint_retry.max_delay_usec = 20'000;
   IngestPipeline pipeline(piped, ingest);
   telemetry::MetricsRegistry registry;
-  pipeline.AttachMetrics(&registry);
 
   FailpointFs fs(SystemFs());
   SnapshotStoreConfig store_config;
@@ -409,7 +407,7 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   ASSERT_TRUE(pipeline.Checkpoint(&error)) << error;
   EXPECT_GE(pipeline.CheckpointsTaken(), 1u);
   ASSERT_TRUE(pipeline.Flush());
-  pipeline.SampleMetrics();
+  pipeline.Collect(registry);
   pipeline.Stop();
 
   // Self-healing was exercised and is visible in the counters.

@@ -352,11 +352,10 @@ TEST(IngestPipeline, AttachMetricsPublishesPerShardSeries) {
   ShardedLtc piped(TimePaced(stream, 8 * 1024), 2);
   IngestPipeline pipeline(piped);
   telemetry::MetricsRegistry registry;
-  pipeline.AttachMetrics(&registry);
   pipeline.PushBatch(stream.records());
   EXPECT_TRUE(pipeline.Flush());
   pipeline.Stop();
-  pipeline.SampleMetrics();
+  pipeline.Collect(registry);
 
   uint64_t enqueued = 0;
   for (uint32_t s = 0; s < pipeline.num_shards(); ++s) {

@@ -571,10 +571,10 @@ TEST_F(StoreTest, StoreMetricsAreExposed) {
   auto store = SketchStore::Open(SystemFs(), dir_.string(), {}, &error);
   ASSERT_NE(store, nullptr) << error;
   telemetry::MetricsRegistry registry;
-  store->AttachMetrics(&registry);
   ASSERT_TRUE(store->Put(1, SketchWithItems(SmallConfig(), 1, 200), &error))
       << error;
   ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  store->Collect(registry);
   const std::string text = telemetry::ExpositionText(registry);
   for (const char* family :
        {"ltc_store_pages_in_total", "ltc_store_pages_out_total",

@@ -10,6 +10,9 @@
 // payloads).
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +28,8 @@
 #include "server/key_codec.h"
 #include "server/protocol.h"
 #include "server/push_client.h"
+#include "snapshot/fs.h"
+#include "store/sketch_store.h"
 #include "telemetry/trace.h"
 
 namespace ltc {
@@ -474,6 +479,88 @@ TEST(DumpTrace, RemoteContextParentsTheServerSpan) {
   EXPECT_NE(json.find("\"parent_id\":\"0xabadcafeabadcafe\""),
             std::string::npos)
       << json;
+}
+
+// --- Store spans ------------------------------------------------------
+
+struct DumpedEvent {
+  std::string name;
+  std::string span_id;
+  std::string parent_id;
+};
+
+/// Every event of a Chrome-JSON dump, in dump order.
+std::vector<DumpedEvent> EventsOf(const std::string& json) {
+  auto field = [&](const std::string& key, size_t from, size_t* end) {
+    const std::string open = "\"" + key + "\":\"";
+    const size_t start = json.find(open, from) + open.size();
+    *end = json.find('"', start);
+    return json.substr(start, *end - start);
+  };
+  std::vector<DumpedEvent> events;
+  size_t pos = 0;
+  while ((pos = json.find("{\"name\":\"", pos)) != std::string::npos) {
+    DumpedEvent event;
+    event.name = field("name", pos, &pos);
+    event.span_id = field("span_id", pos, &pos);
+    event.parent_id = field("parent_id", pos, &pos);
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+// One SketchStore::Put is a store.put span whose children are the WAL
+// append and the WAL sync; one CheckpointDirty is a store.checkpoint
+// span. Both parent under the caller's live span.
+TEST(StoreSpans, PutAndCheckpointNameTheirStepsUnderTheCaller) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "store_spans";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string error;
+  auto store = store::SketchStore::Open(SystemFs(), dir.string(), {}, &error);
+  ASSERT_NE(store, nullptr) << error;
+  LtcConfig config;
+  config.memory_bytes = 4 * 1024;
+  Ltc table(config);
+  for (ItemId item = 1; item <= 50; ++item) table.Insert(item);
+
+  auto id_of = [](const tel::Span& span) {
+    char id[32];
+    std::snprintf(id, sizeof(id), "0x%016llx",
+                  static_cast<unsigned long long>(span.context().span_id));
+    return std::string(id);
+  };
+  FakeClock clock;
+  tel::FlightRecorder recorder(&clock, 64);
+  std::string caller_put;
+  std::string caller_checkpoint;
+  {
+    Installed active(&recorder);
+    {
+      tel::Span caller("unit.put");
+      caller_put = id_of(caller);
+      ASSERT_TRUE(store->Put(7, table, &error)) << error;
+    }
+    {
+      tel::Span caller("unit.checkpoint");
+      caller_checkpoint = id_of(caller);
+      ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+    }
+  }
+  std::map<std::string, DumpedEvent> by_name;
+  for (const DumpedEvent& event : EventsOf(recorder.DumpChromeJson())) {
+    EXPECT_EQ(by_name.count(event.name), 0u) << "twice: " << event.name;
+    by_name[event.name] = event;
+  }
+  for (const char* name : {"unit.put", "store.put", "wal.append", "wal.sync",
+                           "unit.checkpoint", "store.checkpoint"}) {
+    ASSERT_EQ(by_name.count(name), 1u) << name;
+  }
+  EXPECT_EQ(by_name.size(), 6u);
+  EXPECT_EQ(by_name["store.put"].parent_id, caller_put);
+  EXPECT_EQ(by_name["wal.append"].parent_id, by_name["store.put"].span_id);
+  EXPECT_EQ(by_name["wal.sync"].parent_id, by_name["store.put"].span_id);
+  EXPECT_EQ(by_name["store.checkpoint"].parent_id, caller_checkpoint);
 }
 
 #endif  // LTC_TRACING

@@ -189,27 +189,41 @@ class TraceSession {
 };
 
 /// --metrics-out (docs/TELEMETRY.md): the process's one metrics
-/// registry. Every layer attaches to registry() (nullptr when off);
-/// Write() renders the exposition atomically — at each --stats-every
-/// cadence and on exit.
+/// registry. Each live component is added once; Write() calls every
+/// component's Collect and then renders the exposition atomically — at
+/// each --stats-every cadence and on exit. Write() runs on the main
+/// thread at quiescent points: between chunks, or after a pipeline
+/// Flush()/Stop().
 class MetricsOut {
  public:
+  using Collector = std::function<void(telemetry::MetricsRegistry&)>;
+
   MetricsOut(const std::string& path, TraceSession& trace_session)
       : path_(path), trace_session_(trace_session) {
-    if (!path_.empty()) {
+    if (enabled()) {
       telemetry::RegisterBuildInfo(registry_,
                                    ProbeBackendName(ActiveProbeBackend()));
     }
   }
 
-  telemetry::MetricsRegistry* registry() {
-    return path_.empty() ? nullptr : &registry_;
+  bool enabled() const { return !path_.empty(); }
+
+  /// Publishes `component` at every Write(); it must outlive the writes.
+  template <typename Component>
+  void Add(const Component& component) {
+    AddCollector([&component](telemetry::MetricsRegistry& registry) {
+      component.Collect(registry);
+    });
+  }
+  void AddCollector(Collector collect) {
+    if (enabled()) collectors_.push_back(std::move(collect));
   }
 
   /// Writes the exposition to the path (.json = JSON form, else
   /// Prometheus text); failures are warnings, never fatal.
   void Write() {
-    if (path_.empty()) return;
+    if (!enabled()) return;
+    for (const Collector& collect : collectors_) collect(registry_);
     PublishTraceExemplars();
     const bool json = path_.size() >= 5 &&
                       path_.compare(path_.size() - 5, 5, ".json") == 0;
@@ -247,6 +261,7 @@ class MetricsOut {
   std::string path_;
   TraceSession& trace_session_;
   telemetry::MetricsRegistry registry_;
+  std::vector<Collector> collectors_;
 };
 
 /// Starts the query front end (docs/SERVING.md) on the --serve port and
@@ -265,7 +280,7 @@ std::unique_ptr<server::QueryServer> StartServer(
   auto server =
       std::make_unique<server::QueryServer>(hub, codec, num_shards, config);
   server->AttachAggregator(aggregator);  // before Start: the loop reads it
-  if (auto* registry = metrics.registry()) server->AttachMetrics(registry);
+  metrics.Add(*server);
   std::string error;
   if (!server->Start(&error)) {
     std::fprintf(stderr, "ltc_cli: cannot serve: %s\n", error.c_str());
@@ -301,7 +316,7 @@ int RunAggregator(const CliOptions& options, TraceSession& trace_session,
   hub.Publish(std::make_unique<Ltc>(config), 0);
 
   server::AggregatorCore aggregator(config, &hub, options.agg_stale_after);
-  if (auto* registry = metrics.registry()) aggregator.AttachMetrics(registry);
+  metrics.Add(aggregator);  // collected after the server stops
 
   // Pushed sketches carry bare item ids (each pusher's interner is
   // local), so the merged view speaks numeric keys.
@@ -487,7 +502,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
   if (!options.store_dir.empty()) {
     store = OpenStore(options, config, &tenants);
     if (store == nullptr) return 1;
-    store->AttachMetrics(metrics.registry());
+    metrics.Add(*store);
   } else if (!options.load_path.empty() && options.threads > 1) {
     sharded = RestoreTable<ShardedLtc>(
         options.load_path, "sharded",
@@ -516,36 +531,24 @@ int Run(const CliOptions& options, TraceSession& trace_session,
 
 #ifdef LTC_METRICS
   // One core sink per table shard (sized once: the tables keep raw
-  // pointers).
+  // pointers), each published by PublishLtcSink, its collector.
   std::vector<LtcMetricsSink> sinks;
-  if (metrics.registry() != nullptr && estimator != nullptr) {
+  if (metrics.enabled() && estimator != nullptr) {
     sinks.resize(sharded ? sharded->num_shards() : 1);
     for (uint32_t s = 0; s < sinks.size(); ++s) {
-      if (sharded) {
-        sharded->AttachMetricsSink(s, &sinks[s]);
-      } else {
-        table->AttachMetricsSink(&sinks[s]);
-      }
+      Ltc& shard = sharded ? sharded->shard(s) : *table;
+      shard.AttachMetricsSink(&sinks[s]);
+      telemetry::Labels labels;
+      if (sharded) labels = {{"shard", std::to_string(s)}};
+      const size_t cells =
+          static_cast<size_t>(shard.num_buckets()) * shard.cells_per_bucket();
+      metrics.AddCollector(
+          [&sink = sinks[s], labels, cells](telemetry::MetricsRegistry& r) {
+            telemetry::PublishLtcSink(r, sink, labels, cells);
+          });
     }
   }
 #endif
-  // Publishes the core sinks and writes the exposition. Safe only while
-  // the tables are quiescent: between chunks, or after a pipeline
-  // Flush()/Stop().
-  auto write_metrics = [&] {
-#ifdef LTC_METRICS
-    for (uint32_t s = 0; s < sinks.size(); ++s) {
-      const Ltc& shard_table = sharded ? sharded->shard(s) : *table;
-      telemetry::Labels labels;
-      if (sharded) labels = {{"shard", std::to_string(s)}};
-      telemetry::PublishLtcSink(
-          *metrics.registry(), sinks[s], labels,
-          static_cast<size_t>(shard_table.num_buckets()) *
-              shard_table.cells_per_bucket());
-    }
-#endif
-    metrics.Write();
-  };
 
   // Serving (docs/SERVING.md): --serve answers queries over TCP while
   // the trace feeds and keeps answering after it ends, until a signal.
@@ -601,7 +604,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
     push_config.propagate_trace = trace_session.active();
     push_transport.emplace();
     pusher.emplace(push_config, &*push_transport);
-    if (auto* registry = metrics.registry()) pusher->AttachMetrics(registry);
+    metrics.Add(*pusher);
   }
   auto push_image = [&](uint64_t fed) {
     if (!push_enabled) return;
@@ -641,12 +644,12 @@ int Run(const CliOptions& options, TraceSession& trace_session,
     rotation_config.retry.max_delay_usec = 100'000;
     rotation_config.retry.jitter = 0.2;
     rotation.emplace(options.save_path, rotation_config);
-    rotation->AttachMetrics(metrics.registry());
+    metrics.Add(*rotation);
   }
 
   // 3. Compose the estimator's steps and feed the stream.
   FeedSteps steps;
-  steps.stats = write_metrics;
+  steps.stats = [&] { metrics.Write(); };
   std::optional<IngestPipeline> pipeline;
   std::vector<std::vector<Record>> tenant_runs(tenants.size());
   if (store) {
@@ -682,7 +685,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
     };
   } else if (sharded) {
     pipeline.emplace(*sharded);
-    pipeline->AttachMetrics(metrics.registry());
+    metrics.Add(*pipeline);
     steps.ingest = [&](std::span<const Record> chunk) {
       pipeline->PushBatch(chunk);
       return true;
@@ -703,8 +706,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
     // (their fields are plain uint64s owned by the worker).
     steps.stats = [&] {
       pipeline->Flush();
-      pipeline->SampleMetrics();
-      write_metrics();
+      metrics.Write();
     };
   } else {
     steps.ingest = [&](std::span<const Record> chunk) {
@@ -730,10 +732,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
   if (steps.checkpoint && (g_caught_signal != 0 || store)) {
     RunCheckpoint(steps, "final ");
   }
-  if (pipeline) {
-    pipeline->Stop();
-    pipeline->SampleMetrics();
-  }
+  if (pipeline) pipeline->Stop();
   if (store) {
     const store::SketchStore::Stats& stats = store->stats();
     std::fprintf(stderr,
@@ -800,7 +799,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
   // cover a truncated stream — skip it and exit with the conventional
   // interrupted status.
   if (g_caught_signal != 0) {
-    write_metrics();
+    metrics.Write();
     const char* durable = store ? ", store checkpointed"
                           : options.save_path.empty() ? ""
                                                       : ", checkpoint saved";
@@ -812,7 +811,7 @@ int Run(const CliOptions& options, TraceSession& trace_session,
   if (estimator != nullptr) estimator->Finalize();
   // Exit-time exposition: every run with --metrics-out leaves a final,
   // complete metrics file even when --stats-every never fired.
-  write_metrics();
+  metrics.Write();
 
   // 5. Report. Store tenants report from finalized clones, so the
   // durable tables stay un-finalized and a reopened run resumes from
