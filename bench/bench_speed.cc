@@ -12,19 +12,24 @@
 //    (docs/TELEMETRY.md);
 //  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
 //    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
-//    pipeline with and without per-shard metrics sinks.
+//    pipeline with and without per-shard metrics sinks;
+//  * BM_AggregatorRefold at 1/4/8 nodes — the aggregator's per-push
+//    merge (docs/PERF.md "Aggregator push path").
 // --benchmark_format=json carries probe_backend and git_sha in its
 // context block.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/sharded_ltc.h"
 #include "core/table_layout.h"
 #include "ingest/ingest_pipeline.h"
+#include "server/aggregator.h"
 #include "telemetry/build_info.h"
 
 namespace ltc {
@@ -259,6 +264,73 @@ BENCHMARK(BM_PipelineInsert)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The aggregator's push path on one core: AggregatorCore::ApplyPush of
+// one node's next barrier image into the serve_agg shape (128 KiB,
+// d = 8, no hub), every node's earlier images already folded. Each
+// node ingests its own hash partition of a Zipf stream and pushes after
+// serve_agg's per-node chunk, so a push changes about as many buckets
+// as there; the rows differ in how many nodes each refold walks. Image
+// building runs outside the timed region.
+void BM_AggregatorRefold(benchmark::State& state) {
+  static const Stream* stream = new Stream(
+      MakeZipfStream(ScaledRecords(500'000, 500'000),
+                     ScaledRecords(500'000, 500'000) / 8, 1.0, 500, 7));
+  const std::span<const Record> records = stream->records();
+  const auto nodes = static_cast<uint32_t>(state.range(0));
+  const size_t chunk = std::max<size_t>(1, records.size() / 4 / 61);
+  LtcConfig config;
+  config.memory_bytes = 128 * 1024;
+  config.items_per_period = std::max<size_t>(1, records.size() / 4 / 500);
+
+  std::vector<Ltc> live(nodes, Ltc(config));
+  std::vector<size_t> cursor(nodes, 0);
+  std::vector<Record> batch;
+  uint64_t epoch = 0;
+  // Node n's next chunk of its partition (wrapping around the stream),
+  // then the image it would push.
+  const auto next_push = [&](uint32_t n) {
+    batch.clear();
+    while (batch.size() < chunk) {
+      const Record& record = records[cursor[n]];
+      cursor[n] = (cursor[n] + 1) % records.size();
+      const uint64_t part =
+          (record.item * uint64_t{0x9E3779B97F4A7C15} >> 32) % nodes;
+      if (part == n) batch.push_back(record);
+    }
+    live[n].InsertBatch(batch);
+    Ltc image = live[n].CloneAtBarrier();
+    image.Finalize();
+    BinaryWriter writer;
+    image.Serialize(writer);
+    server::PushRequest push;
+    push.node_id = n + 1;
+    push.epoch_seq = ++epoch;
+    push.payload = writer.data();
+    return push;
+  };
+  server::AggregatorCore aggregator(config, nullptr);
+  for (int round = 0; round < 4; ++round) {
+    for (uint32_t n = 0; n < nodes; ++n) aggregator.ApplyPush(next_push(n));
+  }
+  uint32_t n = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const server::PushRequest push = next_push(n);
+    n = (n + 1) % nodes;
+    state.ResumeTiming();
+    if (!aggregator.ApplyPush(push).applied) {
+      state.SkipWithError("push not applied");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_AggregatorRefold)
+    ->ArgName("nodes")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

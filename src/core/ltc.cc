@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -28,8 +29,10 @@ namespace ltc {
 
 std::optional<std::string> LtcConfig::Validate() const {
   if (cells_per_bucket == 0) return "cells_per_bucket must be >= 1";
-  if (std::isnan(alpha) || alpha < 0.0) return "alpha must be >= 0";
-  if (std::isnan(beta) || beta < 0.0) return "beta must be >= 0";
+  // Finite weights keep every significance a number, so RanksBefore
+  // is a strict total order over a bucket's cells.
+  if (!std::isfinite(alpha) || alpha < 0.0) return "alpha must be finite, >= 0";
+  if (!std::isfinite(beta) || beta < 0.0) return "beta must be finite, >= 0";
   if (alpha == 0.0 && beta == 0.0) {
     return "alpha and beta cannot both be 0";
   }
@@ -469,57 +472,81 @@ bool Ltc::CanMergeWith(const Ltc& other) const {
          config_.deviation_eliminator == other.config_.deviation_eliminator;
 }
 
-void Ltc::MergeBucket(uint32_t b, const Ltc& other, MergeScratch& scratch) {
-  BucketView mine = table_.bucket(b);
-  ConstBucketView theirs = other.table_.bucket(b);
+Ltc::MergeStep Ltc::MergeBucket(ConstBucketView mine, ConstBucketView theirs,
+                                const uint32_t* their_rank,
+                                MergeScratch& scratch) const {
   const uint32_t d = mine.size();
   MergeCell* cells = scratch.cells.data();
-  // cells[i] starts as my cell i, empty or not, so a probe of my ID lane
-  // names the slot a matching cell of theirs adds into. Bucket IDs are
-  // unique (CheckInvariants), so only their cells need matching, and
-  // each matches at most one of mine.
+  // A probe of my ID lane names the slot a matching cell of theirs adds
+  // into. Bucket IDs are unique (CheckInvariants), so only their cells
+  // need matching, and each matches at most one of mine. A one-word
+  // sketch of my IDs spares most of their cells the probe.
+  const auto sketch_bit = [](ItemId id) {
+    return uint64_t{1} << (id * uint64_t{0x9E3779B97F4A7C15} >> 58);
+  };
+  uint64_t my_ids = 0;
+  uint32_t mine_occupied = 0;
   for (uint32_t i = 0; i < d; ++i) {
-    ConstCellRef cell = mine.cell(i);
-    cells[i] = {0.0, cell.id(), cell.freq(), cell.counter(), cell.flags()};
+    my_ids |= sketch_bit(cells[i].id);
+    mine_occupied += cells[i].id != 0;
   }
   uint32_t n = d;
+  bool matched = false;
   for (uint32_t j = 0; j < d; ++j) {
-    ConstCellRef cell = theirs.cell(j);
+    ConstCellRef cell = theirs.cell(their_rank != nullptr ? their_rank[j] : j);
     if (cell.id() == 0) continue;
-    const int32_t at = mine.Probe(cell.id()).match;
+    const int32_t at = (my_ids & sketch_bit(cell.id())) != 0
+                           ? mine.Probe(cell.id()).match
+                           : -1;
     if (at < 0) {
-      cells[n++] = {0.0, cell.id(), cell.freq(), cell.counter(), cell.flags()};
+      LoadMergeCell(cell, cells[n++]);
       continue;
     }
+    matched = true;
     MergeCell& into = cells[at];
     into.freq += cell.freq();
     into.counter += cell.counter();
     into.flags |= cell.flags();
+    into.significance = SignificanceOf(into);
   }
-  // Keep the d best occupants, ranked by (significance desc, id asc),
-  // each significance computed once. Over unique IDs that order is
-  // strict and total, so the result does not depend on input order.
-  const auto before = [](const MergeCell& x, const MergeCell& y) {
-    return x.significance != y.significance ? x.significance > y.significance
-                                            : x.id < y.id;
-  };
+  // Keep the d best occupants by RanksBefore.
   uint32_t* order = scratch.order.data();
   uint32_t kept = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    MergeCell& cell = cells[i];
-    if (cell.id == 0) continue;
-    cell.significance = config_.alpha * cell.freq + config_.beta * cell.counter;
-    if (kept == d && !before(cell, cells[order[d - 1]])) continue;
-    uint32_t pos = kept < d ? kept++ : d - 1;
-    for (; pos > 0 && before(cell, cells[order[pos - 1]]); --pos) {
-      order[pos] = order[pos - 1];
+  if (their_rank != nullptr && !matched) {
+    // Two ranked runs over disjoint IDs, my occupants [0, mine_occupied)
+    // and theirs [d, n): merging them is the ranking. cells[n] is
+    // scratch, read at j == n but never taken.
+    const uint32_t total = std::min(d, mine_occupied + (n - d));
+    uint32_t i = 0;
+    uint32_t j = d;
+    for (; kept < total; ++kept) {
+      const bool take_mine =
+          (j == n) | ((i < mine_occupied) & RanksBefore(cells[i], cells[j]));
+      order[kept] = take_mine ? i : j;
+      i += take_mine;
+      j += !take_mine;
     }
-    order[pos] = i;
+  } else {
+    for (uint32_t i = 0; i < n; ++i) {
+      const MergeCell& cell = cells[i];
+      if (cell.id == 0) continue;
+      if (kept == d && !RanksBefore(cell, cells[order[d - 1]])) continue;
+      uint32_t pos = kept < d ? kept++ : d - 1;
+      for (; pos > 0 && RanksBefore(cell, cells[order[pos - 1]]); --pos) {
+        order[pos] = order[pos - 1];
+      }
+      order[pos] = i;
+    }
   }
-  for (uint32_t i = 0; i < d; ++i) {
-    CellRef cell = mine.cell(i);
-    if (i < kept) {
-      const MergeCell& from = cells[order[i]];
+  return {kept, matched};
+}
+
+void Ltc::StoreKept(const MergeStep& step, const MergeScratch& scratch,
+                    BucketView bucket) {
+  for (uint32_t i = 0; i < bucket.size(); ++i) {
+    CellRef cell = bucket.cell(i);
+    if (i < step.kept) {
+      const MergeCell& from = scratch.cells[scratch.order[i]];
       cell.set_id(from.id);
       cell.set_freq(from.freq);
       cell.set_counter(from.counter);
@@ -541,22 +568,80 @@ void Ltc::MergeScalarsFrom(const Ltc& other) {
 bool Ltc::MergeFrom(const Ltc& other) {
   if (!CanMergeWith(other)) return false;
   MergeScratch scratch(config_.cells_per_bucket);
-  for (uint32_t b = 0; b < num_buckets_; ++b) MergeBucket(b, other, scratch);
+  for (uint32_t b = 0; b < num_buckets_; ++b) {
+    BucketView mine = table_.bucket(b);
+    for (uint32_t i = 0; i < mine.size(); ++i) {
+      LoadMergeCell(mine.cell(i), scratch.cells[i]);
+    }
+    StoreKept(MergeBucket(mine, other.table_.bucket(b), nullptr, scratch),
+              scratch, mine);
+  }
   MergeScalarsFrom(other);
   return true;
 }
 
-void Ltc::RefoldBuckets(std::span<const Ltc* const> sources,
-                        std::span<const uint32_t> buckets) {
-  MergeScratch scratch(config_.cells_per_bucket);
+void Ltc::RankBuckets(std::span<const uint32_t> buckets,
+                      std::span<uint32_t> rank) const {
+  assert(rank.size() == table_.num_cells());
+  const uint32_t d = config_.cells_per_bucket;
+  std::vector<MergeCell> cells(d);
   for (uint32_t b : buckets) {
-    BucketView bucket = table_.bucket(b);
-    for (uint32_t i = 0; i < bucket.size(); ++i) bucket.cell(i).Clear();
-    for (const Ltc* source : sources) MergeBucket(b, *source, scratch);
+    // Empty cells rank last, among themselves by index: significance -1
+    // is below every occupant's, and the index stands in for the ID.
+    ConstBucketView bucket = table_.bucket(b);
+    for (uint32_t i = 0; i < d; ++i) {
+      LoadMergeCell(bucket.cell(i), cells[i]);
+      if (cells[i].id == 0) cells[i] = {-1.0, i, 0, 0, 0};
+    }
+    // Insertion sort from the bucket's previous order, which a push
+    // mostly leaves in place; a new lane's zeros become 0..d-1 first.
+    uint32_t* order = rank.data() + size_t{b} * d;
+    if (d > 1 && order[0] == order[1]) std::iota(order, order + d, 0u);
+    for (uint32_t i = 1; i < d; ++i) {
+      const uint32_t at = order[i];
+      uint32_t pos = i;
+      for (; pos > 0 && RanksBefore(cells[at], cells[order[pos - 1]]); --pos) {
+        order[pos] = order[pos - 1];
+      }
+      order[pos] = at;
+    }
+  }
+}
+
+uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
+                            std::span<const uint32_t> buckets) {
+  const uint32_t d = config_.cells_per_bucket;
+  MergeScratch scratch(d);
+  // The running top-d: scratch.cells[0, d), best first, its IDs mirrored
+  // in a one-bucket layout for the probe.
+  TableLayout running(1, d);
+  const std::span<uint64_t> running_ids = running.ids();
+  uint64_t matched_steps = 0;
+  for (uint32_t b : buckets) {
+    std::fill_n(scratch.cells.begin(), d, MergeCell{});
+    std::fill(running_ids.begin(), running_ids.end(), 0);
+    const size_t base = size_t{b} * d;
+    MergeStep step{0, false};
+    for (size_t s = 0; s < sources.size(); ++s) {
+      if (s > 0) {
+        // Carry the previous step's kept cells into the running top-d.
+        for (uint32_t i = 0; i < d; ++i) {
+          scratch.next[i] = i < step.kept ? scratch.cells[scratch.order[i]]
+                                          : MergeCell{};
+          running_ids[i] = scratch.next[i].id;
+        }
+        std::swap(scratch.cells, scratch.next);
+      }
+      step = MergeBucket(running.bucket(0), sources[s].table->table_.bucket(b),
+                         sources[s].rank.data() + base, scratch);
+      if (step.matched) ++matched_steps;
+    }
+    StoreKept(step, scratch, table_.bucket(b));
   }
   current_period_ = 0;
   merged_history_periods_ = 0;
-  for (const Ltc* source : sources) MergeScalarsFrom(*source);
+  for (const RankedSource& source : sources) MergeScalarsFrom(*source.table);
+  return matched_steps;
 }
 
 std::vector<uint32_t> Ltc::ChangedBuckets(const Ltc& other) const {

@@ -81,8 +81,8 @@ struct LtcConfig {
   /// 8 (§V-C).
   uint32_t cells_per_bucket = 8;
 
-  /// Significance weights (Eq. 1). α=1,β=0 degenerates to frequent items;
-  /// α=0,β=1 to persistent items.
+  /// Significance weights (Eq. 1), finite and >= 0, not both 0. α=1,β=0
+  /// degenerates to frequent items; α=0,β=1 to persistent items.
   double alpha = 1.0;
   double beta = 1.0;
 
@@ -117,11 +117,11 @@ struct LtcConfig {
   static constexpr size_t BytesPerCell() { return 16; }
 
   /// Checks the configuration for values no table can run on: negative
-  /// α/β (or both zero), zero cells_per_bucket, a non-positive period
-  /// length in the active pacing mode. Returns std::nullopt when valid,
-  /// else a description of the first problem. The Ltc constructor calls
-  /// this and throws std::invalid_argument on failure; Deserialize calls
-  /// it to reject corrupt checkpoints.
+  /// or non-finite α/β (or both zero), zero cells_per_bucket, a
+  /// non-positive period length in the active pacing mode. Returns
+  /// std::nullopt when valid, else a description of the first problem.
+  /// The Ltc constructor calls this and throws std::invalid_argument on
+  /// failure; Deserialize calls it to reject corrupt checkpoints.
   std::optional<std::string> Validate() const;
 };
 
@@ -252,17 +252,43 @@ class Ltc final : public SignificanceEstimator {
   /// aggregation tier surfaces as a typed response, never UB.
   [[nodiscard]] bool MergeFrom(const Ltc& other);
 
+  /// Writes the rank order of each listed bucket into `rank`, a lane of
+  /// num_cells() entries laid out like the table (bucket b's entries at
+  /// [b·d, (b+1)·d)): the bucket's cell indices, occupied cells best
+  /// first by (significance desc, id asc), then its empty cells. A
+  /// listed bucket's entries must be zeros (a new lane) or what an
+  /// earlier call left there; re-ranking sorts from that earlier order,
+  /// so a bucket that barely changed costs about d compares. The
+  /// entries of unlisted buckets are left as they are.
+  void RankBuckets(std::span<const uint32_t> buckets,
+                   std::span<uint32_t> rank) const;
+
+  /// One input of RefoldBuckets: a table and its rank lane, which
+  /// RankBuckets has brought up to date for every bucket.
+  struct RankedSource {
+    const Ltc* table;
+    std::span<const uint32_t> rank;
+  };
+
   /// The aggregation tier's incremental fold (server/aggregator.h).
   /// Precondition: this table equals a fresh Ltc(config()) folded with
   /// MergeFrom over a list of tables that differs from `sources` only in
   /// the cells of `buckets`. Afterwards it equals the fold over
-  /// `sources`: MergeFrom is bucket-local, so each listed bucket is
-  /// refolded from empty across every source in order, the rest are
-  /// already right, and the table scalars MergeFrom accumulates (period,
-  /// merged history) are recomputed from all sources. Every source must
-  /// satisfy CanMergeWith(*this).
-  void RefoldBuckets(std::span<const Ltc* const> sources,
-                     std::span<const uint32_t> buckets);
+  /// `sources`, byte for byte: MergeFrom is bucket-local, so each listed
+  /// bucket is refolded from empty across every source in order, the
+  /// rest are already right, and the table scalars MergeFrom accumulates
+  /// (period, merged history) are recomputed from all sources.
+  ///
+  /// A listed bucket's running top-d stays in scratch, ranked, and its
+  /// four lanes are written once. A source's step merges its ranked run
+  /// (its rank lane, 4 bytes per cell) into the running top-d when the
+  /// two share no ID, which is every step when the sources saw disjoint
+  /// items. A step that shares an ID falls back to MergeFrom's own
+  /// step: it adds the matching fields and re-ranks every cell. Returns
+  /// the number of such shared-ID steps. Every source must satisfy
+  /// CanMergeWith(*this).
+  uint64_t RefoldBuckets(std::span<const RankedSource> sources,
+                         std::span<const uint32_t> buckets);
 
   /// The buckets whose cells differ, lane by lane, between this table
   /// and `other`, ascending. `other` must satisfy CanMergeWith(*this).
@@ -337,17 +363,52 @@ class Ltc final : public SignificanceEstimator {
     uint32_t counter;
     uint8_t flags;
   };
-  /// Fixed working space of the merge kernel, allocated once per fold.
+  /// The rank order of merged cells and of RankBuckets: significance
+  /// desc, then id asc. Over unique IDs it is strict and total, so a
+  /// ranking does not depend on input order.
+  static bool RanksBefore(const MergeCell& x, const MergeCell& y) {
+    // Bitwise, not short-circuit: no branch to mispredict.
+    return (x.significance > y.significance) |
+           ((x.significance == y.significance) & (x.id < y.id));
+  }
+  double SignificanceOf(const MergeCell& cell) const {
+    return config_.alpha * cell.freq + config_.beta * cell.counter;
+  }
+  void LoadMergeCell(ConstCellRef cell, MergeCell& into) const {
+    into = {0.0, cell.id(), cell.freq(), cell.counter(), cell.flags()};
+    into.significance = SignificanceOf(into);
+  }
+
+  /// Working space of the merge kernel, allocated once per fold.
   struct MergeScratch {
-    explicit MergeScratch(uint32_t d) : cells(2 * size_t{d}), order(d) {}
-    std::vector<MergeCell> cells;  // my d cells, then their unmatched
-    std::vector<uint32_t> order;   // ranked indices into cells, best first
+    explicit MergeScratch(uint32_t d)
+        : cells(2 * size_t{d} + 1), order(d), next(2 * size_t{d} + 1) {}
+    // My d cells, then their unmatched, then one spare the run merge
+    // reads past the end.
+    std::vector<MergeCell> cells;
+    std::vector<uint32_t> order;  // ranked indices into cells, best first
+    std::vector<MergeCell> next;  // RefoldBuckets: the next running top-d
+  };
+  struct MergeStep {
+    uint32_t kept;  // occupants kept, their indices in order[0, kept)
+    bool matched;   // some ID of theirs matched one of mine
   };
 
   /// The bucket-merge kernel behind MergeFrom and RefoldBuckets: folds
-  /// bucket b of `other` into bucket b of this table (matching IDs add
-  /// their fields, the d most significant occupants stay).
-  void MergeBucket(uint32_t b, const Ltc& other, MergeScratch& scratch);
+  /// `theirs` into my bucket, scratch.cells[0, d), whose IDs `mine`
+  /// holds for the probe. Matching IDs add their fields, and the d most
+  /// significant occupants are ranked into scratch.order. `their_rank`,
+  /// when given, is theirs's RankBuckets entries, and my occupants must
+  /// then lead cells[0, d) in rank order. A step that matches no ID then
+  /// merges the two ranked runs; any other step ranks every cell afresh.
+  MergeStep MergeBucket(ConstBucketView mine, ConstBucketView theirs,
+                        const uint32_t* their_rank,
+                        MergeScratch& scratch) const;
+
+  /// Writes a step's kept cells into `bucket`, best first, and clears
+  /// the rest.
+  static void StoreKept(const MergeStep& step, const MergeScratch& scratch,
+                        BucketView bucket);
 
   /// The table-scalar half of MergeFrom: period and merged history.
   void MergeScalarsFrom(const Ltc& other);

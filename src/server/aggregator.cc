@@ -85,6 +85,8 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
     changed = it->second.sketch.ChangedBuckets(*table);
     it->second.sketch = std::move(*table);
   }
+  // An unchanged bucket has the same cells, so its rank still holds.
+  it->second.sketch.RankBuckets(changed, it->second.rank);
   it->second.last_epoch = push.epoch_seq;
   it->second.records = push.records;
   it->second.last_push_usec = now;
@@ -103,15 +105,16 @@ void AggregatorCore::RefoldAndPublish(std::span<const uint32_t> changed) {
   telemetry::Span span("agg.republish");
   span.AddAttr("nodes", nodes_.size());
   span.AddAttr("buckets", changed.size());
-  std::vector<const Ltc*> sources;
+  std::vector<Ltc::RankedSource> sources;
   sources.reserve(nodes_.size());
   uint64_t records = 0;
   for (const auto& [node_id, node] : nodes_) {
-    sources.push_back(&node.sketch);
+    sources.push_back({&node.sketch, node.rank});
     records += node.records;
   }
   // Shapes were checked at apply time, so every source can merge.
-  merged_.RefoldBuckets(sources, changed);
+  const uint64_t matched_steps = merged_.RefoldBuckets(sources, changed);
+  span.AddAttr("matched_steps", matched_steps);
   has_merged_ = true;
   total_records_ = records;
   if (hub_ != nullptr) {

@@ -23,10 +23,20 @@
 // node in order, only the buckets where the new image differs from the
 // node's previous one (all of them for a node's first push), and keeps
 // the rest of the persistent aggregate. The result is the same bytes a
-// full refold would give (pinned by tests/aggregation_test.cc). Over
-// loopback the merge work, not the network hop, dominates a push:
-// mostly the refold, then the deserialize, the bucket diff and the copy
-// for the hub (ledger in docs/PERF.md "Aggregator push path").
+// full refold would give (pinned by tests/aggregation_test.cc).
+//
+// Each node also keeps a rank lane: for every bucket, its cell indices
+// best first (Ltc::RankBuckets), 4 bytes per cell, so 32 KiB beside a
+// node's 136 KiB image at the 128 KiB, d = 8 shape. A push re-ranks
+// only the buckets it changed. The refold then merges each node's
+// ranked run into a bucket's running top-d, which stays in scratch
+// until its lanes are written once. A node whose run shares an item
+// with the running top-d (substreams that are not item-partitioned)
+// takes MergeFrom's add-and-re-rank step for that bucket instead; the
+// agg.republish span counts those steps as matched_steps. Over loopback
+// the merge work, not the network hop, dominates a push: the refold,
+// the deserialize, the bucket diff and rank, and the copy for the hub
+// (ledger in docs/PERF.md "Aggregator push path").
 //
 // Epoch rules, per node: epoch_seq must be >= 1 and is compared against
 // the newest applied epoch. Newer → applied; equal → acknowledged as a
@@ -116,15 +126,17 @@ class AggregatorCore {
     uint64_t records = 0;
     uint64_t last_push_usec = 0;
     Ltc sketch;
+    std::vector<uint32_t> rank;  // sketch's rank lane (Ltc::RankBuckets)
 
-    explicit NodeState(Ltc s) : sketch(std::move(s)) {}
+    explicit NodeState(Ltc s)
+        : sketch(std::move(s)), rank(sketch.num_cells()) {}
   };
 
   PushOutcome Reject(Status status, std::string detail);
   /// Refolds the `changed` buckets of merged_ across nodes_ and
-  /// publishes a copy. Per-push cost is O(nodes × changed buckets) for
-  /// the fold plus O(table) for the copy; the aggregate stays a pure
-  /// function of the node images (see file comment).
+  /// publishes a copy. Per-push cost is O(nodes × changed buckets × d)
+  /// for the fold plus O(table) for the copy; the aggregate stays a
+  /// pure function of the node images (see file comment).
   void RefoldAndPublish(std::span<const uint32_t> changed);
   uint64_t AgeSecOf(const NodeState& node, uint64_t now_usec) const;
 

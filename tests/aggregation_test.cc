@@ -434,7 +434,14 @@ struct RefoldCase {
   const char* name;
   uint32_t cells_per_bucket;
   bool long_tail_replacement;
+  // Each node sees its own items only, as under item partitioning.
+  bool partitioned = false;
+  // Significance is frequency alone, so many cells tie and the id
+  // tie-break decides the rank.
+  bool beta_zero = false;
 };
+// gtest prints a row's size into its test name; the flags fill padding.
+static_assert(sizeof(RefoldCase) == 16);
 
 class AggregatorRefold : public ::testing::TestWithParam<RefoldCase> {};
 
@@ -443,6 +450,7 @@ TEST_P(AggregatorRefold, EveryPushLeavesTheFullFoldOfTheNewestImages) {
   config.memory_bytes = 16 * 1024;  // 32 buckets even at d = 32
   config.cells_per_bucket = GetParam().cells_per_bucket;
   config.long_tail_replacement = GetParam().long_tail_replacement;
+  if (GetParam().beta_zero) config.beta = 0.0;
 
   size_t unchanged_buckets = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -500,8 +508,12 @@ TEST_P(AggregatorRefold, EveryPushLeavesTheFullFoldOfTheNewestImages) {
         Ltc& table = live.try_emplace(node, config).first->second;
         const uint64_t records = rng.UniformRange(10, 120);
         for (uint64_t r = 0; r < records; ++r) {
-          // Overlapping universes, so matching IDs add up in the fold.
-          table.Insert(1 + rng.Uniform(rng.Bernoulli(0.3) ? 30 : 600));
+          // Overlapping universes, so matching IDs add up in the fold,
+          // unless the row partitions them by node: ids interleaved
+          // across nodes (node ids < 16), so id tie-breaks between the
+          // running top-d and a node's run go either way.
+          const ItemId item = 1 + rng.Uniform(rng.Bernoulli(0.3) ? 30 : 600);
+          table.Insert(GetParam().partitioned ? item * 16 + node : item);
         }
         Ltc image = table.CloneAtBarrier();
         if (rng.Bernoulli(0.7)) image.Finalize();
@@ -533,7 +545,14 @@ INSTANTIATE_TEST_SUITE_P(
                       RefoldCase{"d8_ltr", 8, true},
                       RefoldCase{"d8_noltr", 8, false},
                       RefoldCase{"d32_ltr", 32, true},
-                      RefoldCase{"d32_noltr", 32, false}),
+                      RefoldCase{"d32_noltr", 32, false},
+                      RefoldCase{"d1_ltr_partitioned", 1, true, true},
+                      RefoldCase{"d8_ltr_partitioned", 8, true, true},
+                      RefoldCase{"d8_noltr_partitioned", 8, false, true},
+                      RefoldCase{"d32_ltr_partitioned", 32, true, true},
+                      RefoldCase{"d8_ltr_beta0", 8, true, false, true},
+                      RefoldCase{"d8_noltr_beta0_partitioned", 8, false,
+                                 true, true}),
     [](const ::testing::TestParamInfo<RefoldCase>& info) {
       return std::string(info.param.name);
     });

@@ -3,6 +3,7 @@
 // rule fails by name).
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -62,6 +63,21 @@ TEST(LtcConfigValidate, RejectsNegativeBeta) {
   EXPECT_NE(config.Validate()->find("beta"), std::string::npos);
   EXPECT_THROW(Ltc{config}, std::invalid_argument);
   config.beta = std::nan("");
+  EXPECT_THROW(Ltc{config}, std::invalid_argument);
+}
+
+// An infinite weight times a zero field is NaN, and a NaN significance
+// has no rank: merged and refolded buckets would depend on input order.
+TEST(LtcConfigValidate, RejectsInfiniteWeights) {
+  LtcConfig config = ValidCountBased();
+  config.alpha = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(config.Validate().has_value());
+  EXPECT_NE(config.Validate()->find("alpha"), std::string::npos);
+  EXPECT_THROW(Ltc{config}, std::invalid_argument);
+  config = ValidCountBased();
+  config.beta = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(config.Validate().has_value());
+  EXPECT_NE(config.Validate()->find("beta"), std::string::npos);
   EXPECT_THROW(Ltc{config}, std::invalid_argument);
 }
 

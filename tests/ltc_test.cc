@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -594,6 +597,110 @@ TEST(Ltc, PersistentOnlyModeTracksPersistentItems) {
   }
   table.Finalize();
   EXPECT_GT(table.QuerySignificance(777), table.QuerySignificance(888));
+}
+
+// --- The ranked refold ------------------------------------------------
+
+std::string Bytes(const Ltc& table) {
+  BinaryWriter writer;
+  table.Serialize(writer);
+  return writer.data();
+}
+
+/// The fold RefoldBuckets must reproduce: MergeFrom over `sources`, in
+/// order, into a fresh table.
+std::string MergeFromFold(const LtcConfig& config,
+                          const std::vector<Ltc>& sources) {
+  Ltc fold(config);
+  for (const Ltc& source : sources) EXPECT_TRUE(fold.MergeFrom(source));
+  return Bytes(fold);
+}
+
+TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
+  // d = 300 > 255 pins the rank lane wider than a byte.
+  for (uint32_t d : {1u, 8u, 32u, 300u}) {
+    for (bool ltr : {true, false}) {
+      for (bool partitioned : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "d=" << d << " ltr=" << ltr
+                                        << " partitioned=" << partitioned);
+        LtcConfig config;
+        config.cells_per_bucket = d;
+        // max(64, d) cells: several buckets at small d, and one at
+        // d = 300, which the audit build's per-insert O(w·d²) sweep
+        // can afford.
+        const uint32_t cells = std::max(64u, d);
+        config.memory_bytes = cells * LtcConfig::BytesPerCell();
+        config.items_per_period = 500;
+        config.long_tail_replacement = ltr;
+        Rng rng(d * 4 + (ltr ? 2 : 0) + (partitioned ? 1 : 0));
+        std::vector<Ltc> sources(3, Ltc(config));
+        // More distinct items than cells, a few of them hot: every
+        // bucket fills.
+        const auto feed = [&](size_t s, uint64_t records) {
+          for (uint64_t r = 0; r < records; ++r) {
+            const ItemId item =
+                1 + rng.Uniform(rng.Bernoulli(0.3) ? cells / 4 : 2 * cells);
+            // Partitioned ids interleave across sources, so id
+            // tie-breaks between runs go either way.
+            sources[s].Insert(partitioned ? item * 3 + s : item);
+          }
+          sources[s].Finalize();
+        };
+        for (size_t s = 0; s < sources.size(); ++s) feed(s, 3 * cells);
+
+        std::vector<uint32_t> all(sources[0].num_buckets());
+        std::iota(all.begin(), all.end(), 0u);
+        std::vector<std::vector<uint32_t>> ranks;
+        for (const Ltc& source : sources) {
+          ranks.emplace_back(source.num_cells());
+          source.RankBuckets(all, ranks.back());
+        }
+        const auto ranked = [&] {
+          std::vector<Ltc::RankedSource> list;
+          for (size_t s = 0; s < sources.size(); ++s) {
+            list.push_back({&sources[s], ranks[s]});
+          }
+          return list;
+        };
+
+        Ltc fold(config);
+        const uint64_t matched = fold.RefoldBuckets(ranked(), all);
+        EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
+        EXPECT_TRUE(fold.CheckInvariants());
+        // Disjoint items never share an ID; overlapping ones do.
+        if (partitioned) {
+          EXPECT_EQ(matched, 0u);
+        } else {
+          EXPECT_GT(matched, 0u);
+        }
+
+        // The middle source moves on: refold and re-rank only the
+        // buckets it changed.
+        const Ltc before = sources[1];
+        feed(1, 4);
+        const std::vector<uint32_t> changed = before.ChangedBuckets(sources[1]);
+        ASSERT_FALSE(changed.empty());
+        sources[1].RankBuckets(changed, ranks[1]);
+        fold.RefoldBuckets(ranked(), changed);
+        EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
+      }
+    }
+  }
+}
+
+TEST(Ltc, RankBucketsOrdersOccupantsBestFirstThenEmpties) {
+  LtcConfig config = OneBucket(6);
+  config.beta = 0.0;  // significance = frequency, so 5 and 9 tie
+  Ltc table(config);
+  for (ItemId item : {9, 5, 7, 7, 7, 9, 5, 3}) table.Insert(item);
+  std::vector<uint32_t> rank(table.num_cells());
+  const std::vector<uint32_t> bucket = {0};
+  table.RankBuckets(bucket, rank);
+  // Cells fill in arrival order: 9, 5, 7, 3, then two empties.
+  EXPECT_EQ((std::vector<uint32_t>(rank.begin(), rank.begin() + 4)),
+            (std::vector<uint32_t>{2, 1, 0, 3}));
+  EXPECT_EQ((std::set<uint32_t>(rank.begin() + 4, rank.end())),
+            (std::set<uint32_t>{4, 5}));
 }
 
 }  // namespace
