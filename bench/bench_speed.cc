@@ -10,6 +10,9 @@
 //    skipped with an error row;
 //  * BM_LtcSink/<detached|attached> — the metrics sink's hot-path cost
 //    (docs/TELEMETRY.md);
+//  * BM_LtcInsertSweep at 250/2000 items per period — inserts at the
+//    aggregator nodes' shape, where the CLOCK sweep dominates
+//    (docs/PERF.md "Per-cell loops");
 //  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
 //    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
 //    pipeline with and without per-shard metrics sinks;
@@ -206,6 +209,34 @@ void BM_LtcSink(benchmark::State& state, bool attach) {
 BENCHMARK_CAPTURE(BM_LtcSink, detached, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_LtcSink, attached, true)
+    ->Unit(benchmark::kMillisecond);
+
+// Inserts at the serve_agg node shape (128 KiB, d = 8, count-based
+// periods) with a metrics sink attached, one fresh table per iteration.
+// At 250 items per period the CLOCK pointer sweeps about 33 cells per
+// record, so the sweep is most of an insert; at 2000, about 4.
+void BM_LtcInsertSweep(benchmark::State& state) {
+#ifndef LTC_METRICS
+  state.SkipWithError("built with LTC_METRICS=OFF");
+  return;
+#else
+  const Stream& stream = SharedStream();
+  LtcConfig config;
+  config.memory_bytes = 128 * 1024;
+  config.items_per_period = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    Ltc table(config);
+    LtcMetricsSink sink;
+    table.AttachMetricsSink(&sink);
+    table.InsertBatch(stream.records());
+  }
+  SetRecordsProcessed(state, stream);
+#endif
+}
+BENCHMARK(BM_LtcInsertSweep)
+    ->ArgName("items_per_period")
+    ->Arg(250)
+    ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
 // Sequential ShardedLtc vs IngestPipeline at the same shard count. The

@@ -5,7 +5,8 @@
 namespace ltc {
 namespace {
 
-inline uint32_t Rot(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+using bob_hash_internal::Final;
+using bob_hash_internal::Rot;
 
 // lookup3 mixing step.
 inline void Mix(uint32_t& a, uint32_t& b, uint32_t& c) {
@@ -15,17 +16,6 @@ inline void Mix(uint32_t& a, uint32_t& b, uint32_t& c) {
   a -= c; a ^= Rot(c, 16); c += b;
   b -= a; b ^= Rot(a, 19); a += c;
   c -= b; c ^= Rot(b, 4);  b += a;
-}
-
-// lookup3 final scrambling step.
-inline void Final(uint32_t& a, uint32_t& b, uint32_t& c) {
-  c ^= b; c -= Rot(b, 14);
-  a ^= c; a -= Rot(c, 11);
-  b ^= a; b -= Rot(a, 25);
-  c ^= b; c -= Rot(b, 16);
-  a ^= c; a -= Rot(c, 4);
-  b ^= a; b -= Rot(a, 14);
-  c ^= b; c -= Rot(b, 24);
 }
 
 // Core of Jenkins' hashlittle2: produces two 32-bit results from coupled

@@ -9,11 +9,29 @@
 #ifndef LTC_COMMON_BOB_HASH_H_
 #define LTC_COMMON_BOB_HASH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
 namespace ltc {
+
+namespace bob_hash_internal {
+
+inline uint32_t Rot(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
+
+// lookup3 final scrambling step.
+inline void Final(uint32_t& a, uint32_t& b, uint32_t& c) {
+  c ^= b; c -= Rot(b, 14);
+  a ^= c; a -= Rot(c, 11);
+  b ^= a; b -= Rot(a, 25);
+  c ^= b; c -= Rot(b, 16);
+  a ^= c; a -= Rot(c, 4);
+  b ^= a; b -= Rot(a, 14);
+  c ^= b; c -= Rot(b, 24);
+}
+
+}  // namespace bob_hash_internal
 
 /// Hashes an arbitrary byte buffer with Bob Jenkins' lookup3 algorithm.
 /// Deliberately NOT named BobHash32: a (const char*, int) argument pair
@@ -37,9 +55,22 @@ inline uint32_t BobHash32(std::string_view s, uint32_t seed = 0) {
 }
 
 /// Convenience overload for 64-bit integer keys (the common item-ID type
-/// throughout this library).
+/// throughout this library): the byte hash of the key's in-memory bytes.
+/// On little-endian hosts those bytes are the key's low then high word,
+/// so lookup3's 8-byte case is two adds and Final, inline; this is every
+/// table's bucket hash. Other hosts take the byte path.
 inline uint32_t BobHash32(uint64_t key, uint32_t seed = 0) {
-  return BobHashBytes32(&key, sizeof(key), seed);
+  if constexpr (std::endian::native == std::endian::little) {
+    uint32_t a = 0xdeadbeef + uint32_t{sizeof(key)} + seed;
+    uint32_t b = a;
+    uint32_t c = a;
+    a += static_cast<uint32_t>(key);
+    b += static_cast<uint32_t>(key >> 32);
+    bob_hash_internal::Final(a, b, c);
+    return c;
+  } else {
+    return BobHashBytes32(&key, sizeof(key), seed);
+  }
 }
 
 inline uint64_t BobHash64(std::string_view s, uint64_t seed = 0) {

@@ -85,40 +85,25 @@ uint8_t Ltc::ScanFlagMask() const {
   return static_cast<uint8_t>(1u << ((current_period_ & 1) ^ 1));
 }
 
-void Ltc::ScanCell(CellRef cell) {
-  uint8_t mask = ScanFlagMask();
-  if (cell.flags() & mask) {
-    cell.set_counter(cell.counter() + 1);
-    cell.set_flags(static_cast<uint8_t>(cell.flags() & ~mask));
-  }
-}
-
 void Ltc::ScanTo(uint64_t target_slot) {
   assert(target_slot <= table_.num_cells());
+  if (target_slot <= scan_cursor_) return;
+  const uint8_t mask = ScanFlagMask();
 #ifdef LTC_METRICS
-  // Instrumented sweep, hoisted into its own loop: the null check runs
-  // once per ScanTo, not once per scanned cell, so the detached path is
-  // the plain loop below. Occupancy sampling rides the sweep for free —
-  // every period visits all m slots exactly once, so the scratch total
-  // at the period boundary is a full occupancy sample.
-  if (metrics_ != nullptr && target_slot > scan_cursor_) {
+  // The instrumented sweep is the same pass with the occupancy count
+  // on, chosen once per ScanTo. Occupancy sampling rides the sweep for
+  // free: every period visits all m slots exactly once, so the scratch
+  // total at the period boundary is a full occupancy sample.
+  if (metrics_ != nullptr) {
     metrics_->clock_steps += target_slot - scan_cursor_;
-    uint64_t occupied = 0;  // local accumulator: no store per cell
-    for (; scan_cursor_ < target_slot; ++scan_cursor_) {
-      CellRef cell = table_.cell(scan_cursor_);
-      ScanCell(cell);
-      // Integer-only occupancy test: IsEmpty() recomputes significance
-      // with two FP multiplies per cell, which would dominate the sweep.
-      occupied += static_cast<uint64_t>(
-          (cell.id() | cell.freq() | cell.counter()) != 0);
-    }
-    metrics_->scan_occupied_scratch += occupied;
+    metrics_->scan_occupied_scratch +=
+        table_.SweepFlags<true>(scan_cursor_, target_slot, mask);
+    scan_cursor_ = target_slot;
     return;
   }
 #endif
-  for (; scan_cursor_ < target_slot; ++scan_cursor_) {
-    ScanCell(table_.cell(scan_cursor_));
-  }
+  table_.SweepFlags<false>(scan_cursor_, target_slot, mask);
+  scan_cursor_ = target_slot;
 }
 
 void Ltc::AdvanceTimeClock(double time) {
@@ -337,19 +322,10 @@ void Ltc::Finalize() {
   // Credit every pending flag: the previous-period flag of cells the sweep
   // has not reached this period, plus the current period's flag (a period
   // is only credited by the NEXT period's sweep, which will never run).
-  const size_t m = table_.num_cells();
-  for (size_t i = 0; i < m; ++i) {
-    CellRef cell = table_.cell(i);
-    uint32_t counter = cell.counter();
-    if (config_.deviation_eliminator) {
-      if (cell.flags() & 0x1) ++counter;
-      if (cell.flags() & 0x2) ++counter;
-    } else {
-      if (cell.flags() & 0x1) ++counter;
-    }
-    cell.set_counter(counter);
-    cell.set_flags(0);
-  }
+  // The mask is every flag bit the scheme uses (CheckInvariants allows
+  // no others), so every flag ends cleared.
+  table_.SweepFlags<false>(0, table_.num_cells(),
+                           config_.deviation_eliminator ? 0x3 : 0x1);
 }
 
 bool Ltc::IsTracked(ItemId item) const {
@@ -472,11 +448,11 @@ bool Ltc::CanMergeWith(const Ltc& other) const {
          config_.deviation_eliminator == other.config_.deviation_eliminator;
 }
 
-Ltc::MergeStep Ltc::MergeBucket(ConstBucketView mine, ConstBucketView theirs,
-                                const uint32_t* their_rank,
-                                MergeScratch& scratch) const {
+bool Ltc::MergeBucket(BucketView mine, ConstBucketView theirs,
+                      MergeScratch& scratch) const {
   const uint32_t d = mine.size();
   MergeCell* cells = scratch.cells.data();
+  for (uint32_t i = 0; i < d; ++i) LoadMergeCell(mine.cell(i), cells[i]);
   // A probe of my ID lane names the slot a matching cell of theirs adds
   // into. Bucket IDs are unique (CheckInvariants), so only their cells
   // need matching, and each matches at most one of mine. A one-word
@@ -485,15 +461,11 @@ Ltc::MergeStep Ltc::MergeBucket(ConstBucketView mine, ConstBucketView theirs,
     return uint64_t{1} << (id * uint64_t{0x9E3779B97F4A7C15} >> 58);
   };
   uint64_t my_ids = 0;
-  uint32_t mine_occupied = 0;
-  for (uint32_t i = 0; i < d; ++i) {
-    my_ids |= sketch_bit(cells[i].id);
-    mine_occupied += cells[i].id != 0;
-  }
+  for (uint32_t i = 0; i < d; ++i) my_ids |= sketch_bit(cells[i].id);
   uint32_t n = d;
   bool matched = false;
   for (uint32_t j = 0; j < d; ++j) {
-    ConstCellRef cell = theirs.cell(their_rank != nullptr ? their_rank[j] : j);
+    ConstCellRef cell = theirs.cell(j);
     if (cell.id() == 0) continue;
     const int32_t at = (my_ids & sketch_bit(cell.id())) != 0
                            ? mine.Probe(cell.id()).match
@@ -509,52 +481,27 @@ Ltc::MergeStep Ltc::MergeBucket(ConstBucketView mine, ConstBucketView theirs,
     into.flags |= cell.flags();
     into.significance = SignificanceOf(into);
   }
-  // Keep the d best occupants by RanksBefore.
+  // Keep the d best occupants by RanksBefore, best first.
   uint32_t* order = scratch.order.data();
   uint32_t kept = 0;
-  if (their_rank != nullptr && !matched) {
-    // Two ranked runs over disjoint IDs, my occupants [0, mine_occupied)
-    // and theirs [d, n): merging them is the ranking. cells[n] is
-    // scratch, read at j == n but never taken.
-    const uint32_t total = std::min(d, mine_occupied + (n - d));
-    uint32_t i = 0;
-    uint32_t j = d;
-    for (; kept < total; ++kept) {
-      const bool take_mine =
-          (j == n) | ((i < mine_occupied) & RanksBefore(cells[i], cells[j]));
-      order[kept] = take_mine ? i : j;
-      i += take_mine;
-      j += !take_mine;
+  for (uint32_t i = 0; i < n; ++i) {
+    const MergeCell& cell = cells[i];
+    if (cell.id == 0) continue;
+    if (kept == d && !RanksBefore(cell, cells[order[d - 1]])) continue;
+    uint32_t pos = kept < d ? kept++ : d - 1;
+    for (; pos > 0 && RanksBefore(cell, cells[order[pos - 1]]); --pos) {
+      order[pos] = order[pos - 1];
     }
-  } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      const MergeCell& cell = cells[i];
-      if (cell.id == 0) continue;
-      if (kept == d && !RanksBefore(cell, cells[order[d - 1]])) continue;
-      uint32_t pos = kept < d ? kept++ : d - 1;
-      for (; pos > 0 && RanksBefore(cell, cells[order[pos - 1]]); --pos) {
-        order[pos] = order[pos - 1];
-      }
-      order[pos] = i;
-    }
+    order[pos] = i;
   }
-  return {kept, matched};
-}
-
-void Ltc::StoreKept(const MergeStep& step, const MergeScratch& scratch,
-                    BucketView bucket) {
-  for (uint32_t i = 0; i < bucket.size(); ++i) {
-    CellRef cell = bucket.cell(i);
-    if (i < step.kept) {
-      const MergeCell& from = scratch.cells[scratch.order[i]];
-      cell.set_id(from.id);
-      cell.set_freq(from.freq);
-      cell.set_counter(from.counter);
-      cell.set_flags(from.flags);
+  for (uint32_t i = 0; i < d; ++i) {
+    if (i < kept) {
+      StoreCell(cells[order[i]], mine.cell(i));
     } else {
-      cell.Clear();
+      mine.cell(i).Clear();
     }
   }
+  return matched;
 }
 
 void Ltc::MergeScalarsFrom(const Ltc& other) {
@@ -569,12 +516,7 @@ bool Ltc::MergeFrom(const Ltc& other) {
   if (!CanMergeWith(other)) return false;
   MergeScratch scratch(config_.cells_per_bucket);
   for (uint32_t b = 0; b < num_buckets_; ++b) {
-    BucketView mine = table_.bucket(b);
-    for (uint32_t i = 0; i < mine.size(); ++i) {
-      LoadMergeCell(mine.cell(i), scratch.cells[i]);
-    }
-    StoreKept(MergeBucket(mine, other.table_.bucket(b), nullptr, scratch),
-              scratch, mine);
+    MergeBucket(table_.bucket(b), other.table_.bucket(b), scratch);
   }
   MergeScalarsFrom(other);
   return true;
@@ -608,35 +550,92 @@ void Ltc::RankBuckets(std::span<const uint32_t> buckets,
   }
 }
 
+bool Ltc::SourcesShareAnId(std::span<const RankedSource> sources,
+                           uint32_t b, std::span<uint32_t> occupied) const {
+  // A 256-bit sketch of the IDs of the sources read so far filters the
+  // exact compare: only an ID whose bit is already set is probed for in
+  // the earlier sources. IDs within one bucket are unique, so a source
+  // is not compared with itself.
+  uint64_t seen[4] = {};
+  for (size_t s = 0; s < sources.size(); ++s) {
+    ConstBucketView theirs = sources[s].table->table_.bucket(b);
+    uint64_t added[4] = {};
+    uint32_t count = 0;
+    for (uint32_t i = 0; i < theirs.size(); ++i) {
+      const ItemId id = theirs.cell(i).id();
+      if (id == 0) continue;
+      ++count;
+      const uint32_t bit =
+          static_cast<uint32_t>(id * uint64_t{0x9E3779B97F4A7C15} >> 56);
+      if ((seen[bit >> 6] >> (bit & 63)) & 1) {
+        for (size_t t = 0; t < s; ++t) {
+          if (sources[t].table->table_.bucket(b).Probe(id).match >= 0) {
+            return true;
+          }
+        }
+      }
+      added[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    for (int w = 0; w < 4; ++w) seen[w] |= added[w];
+    occupied[s] = count;
+  }
+  return false;
+}
+
 uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
                             std::span<const uint32_t> buckets) {
   const uint32_t d = config_.cells_per_bucket;
+  const size_t n = sources.size();
   MergeScratch scratch(d);
-  // The running top-d: scratch.cells[0, d), best first, its IDs mirrored
-  // in a one-bucket layout for the probe.
-  TableLayout running(1, d);
-  const std::span<uint64_t> running_ids = running.ids();
+  // Per source: the occupants of the bucket, how many of its ranked run
+  // are taken, and the next of them, loaded. A spent run's head ranks
+  // below every occupant (significances are >= 0), so it is never taken.
+  std::vector<uint32_t> occupied(n);
+  std::vector<uint32_t> taken(n);
+  std::vector<MergeCell> heads(n);
+  const MergeCell spent{-1.0, 0, 0, 0, 0};
   uint64_t matched_steps = 0;
   for (uint32_t b : buckets) {
-    std::fill_n(scratch.cells.begin(), d, MergeCell{});
-    std::fill(running_ids.begin(), running_ids.end(), 0);
-    const size_t base = size_t{b} * d;
-    MergeStep step{0, false};
-    for (size_t s = 0; s < sources.size(); ++s) {
-      if (s > 0) {
-        // Carry the previous step's kept cells into the running top-d.
-        for (uint32_t i = 0; i < d; ++i) {
-          scratch.next[i] = i < step.kept ? scratch.cells[scratch.order[i]]
-                                          : MergeCell{};
-          running_ids[i] = scratch.next[i].id;
-        }
-        std::swap(scratch.cells, scratch.next);
+    BucketView bucket = table_.bucket(b);
+    if (SourcesShareAnId(sources, b, occupied)) {
+      // MergeFrom's own steps, each counted when it adds a shared ID.
+      for (uint32_t i = 0; i < d; ++i) bucket.cell(i).Clear();
+      for (const RankedSource& source : sources) {
+        matched_steps +=
+            MergeBucket(bucket, source.table->table_.bucket(b), scratch);
       }
-      step = MergeBucket(running.bucket(0), sources[s].table->table_.bucket(b),
-                         sources[s].rank.data() + base, scratch);
-      if (step.matched) ++matched_steps;
+      continue;
     }
-    StoreKept(step, scratch, table_.bucket(b));
+    // Disjoint IDs: the fold is the top d of all the sources' occupants,
+    // best first, which an N-way merge of their ranked runs yields.
+    const size_t base = size_t{b} * d;
+    const auto load_head = [&](size_t s) {
+      if (taken[s] == occupied[s]) {
+        heads[s] = spent;
+        return;
+      }
+      const RankedSource& source = sources[s];
+      LoadMergeCell(source.table->table_.cell(
+                        base + source.rank[base + taken[s]]),
+                    heads[s]);
+    };
+    uint32_t total = 0;
+    for (size_t s = 0; s < n; ++s) {
+      taken[s] = 0;
+      total += occupied[s];
+      load_head(s);
+    }
+    total = std::min(total, d);
+    for (uint32_t kept = 0; kept < total; ++kept) {
+      size_t best = 0;
+      for (size_t s = 1; s < n; ++s) {
+        best = RanksBefore(heads[s], heads[best]) ? s : best;
+      }
+      StoreCell(heads[best], bucket.cell(kept));
+      ++taken[best];
+      load_head(best);
+    }
+    for (uint32_t i = total; i < d; ++i) bucket.cell(i).Clear();
   }
   current_period_ = 0;
   merged_history_periods_ = 0;

@@ -279,14 +279,15 @@ class Ltc final : public SignificanceEstimator {
   /// rest are already right, and the table scalars MergeFrom accumulates
   /// (period, merged history) are recomputed from all sources.
   ///
-  /// A listed bucket's running top-d stays in scratch, ranked, and its
-  /// four lanes are written once. A source's step merges its ranked run
-  /// (its rank lane, 4 bytes per cell) into the running top-d when the
-  /// two share no ID, which is every step when the sources saw disjoint
-  /// items. A step that shares an ID falls back to MergeFrom's own
-  /// step: it adds the matching fields and re-ranks every cell. Returns
-  /// the number of such shared-ID steps. Every source must satisfy
-  /// CanMergeWith(*this).
+  /// A listed bucket whose sources hold no ID in common, which is every
+  /// bucket when the sources saw disjoint items, is the top d of all
+  /// their occupants: an N-way merge of the sources' ranked runs (their
+  /// rank lanes, 4 bytes per cell) writes it straight into the bucket.
+  /// A 256-bit ID sketch, then an exact compare, finds the shared IDs.
+  /// A bucket with one takes MergeFrom's own steps, source by source;
+  /// a step adds the matching fields and re-ranks every cell. Returns
+  /// the number of steps that added a shared ID, as MergeFrom would
+  /// have met them. Every source must satisfy CanMergeWith(*this).
   uint64_t RefoldBuckets(std::span<const RankedSource> sources,
                          std::span<const uint32_t> buckets);
 
@@ -340,8 +341,6 @@ class Ltc final : public SignificanceEstimator {
   /// by the incremental stepper inlined in InsertBatch.
   void AdvanceTimeClock(double time);
 
-  void ScanCell(CellRef cell);
-
   /// The bucket update of one arrival (Cases 1–3 of §III-B), without the
   /// CLOCK advance. `bucket` is BucketOf(item), precomputed by
   /// InsertBatch so the routed bucket can be prefetched ahead of the
@@ -379,36 +378,33 @@ class Ltc final : public SignificanceEstimator {
     into.significance = SignificanceOf(into);
   }
 
+  /// Writes a merged cell's fields into a table cell.
+  static void StoreCell(const MergeCell& from, CellRef into) {
+    into.set_id(from.id);
+    into.set_freq(from.freq);
+    into.set_counter(from.counter);
+    into.set_flags(from.flags);
+  }
+
   /// Working space of the merge kernel, allocated once per fold.
   struct MergeScratch {
-    explicit MergeScratch(uint32_t d)
-        : cells(2 * size_t{d} + 1), order(d), next(2 * size_t{d} + 1) {}
-    // My d cells, then their unmatched, then one spare the run merge
-    // reads past the end.
-    std::vector<MergeCell> cells;
-    std::vector<uint32_t> order;  // ranked indices into cells, best first
-    std::vector<MergeCell> next;  // RefoldBuckets: the next running top-d
-  };
-  struct MergeStep {
-    uint32_t kept;  // occupants kept, their indices in order[0, kept)
-    bool matched;   // some ID of theirs matched one of mine
+    explicit MergeScratch(uint32_t d) : cells(2 * size_t{d}), order(d) {}
+    std::vector<MergeCell> cells;  // my d cells, then their unmatched
+    std::vector<uint32_t> order;   // ranked indices into cells, best first
   };
 
-  /// The bucket-merge kernel behind MergeFrom and RefoldBuckets: folds
-  /// `theirs` into my bucket, scratch.cells[0, d), whose IDs `mine`
-  /// holds for the probe. Matching IDs add their fields, and the d most
-  /// significant occupants are ranked into scratch.order. `their_rank`,
-  /// when given, is theirs's RankBuckets entries, and my occupants must
-  /// then lead cells[0, d) in rank order. A step that matches no ID then
-  /// merges the two ranked runs; any other step ranks every cell afresh.
-  MergeStep MergeBucket(ConstBucketView mine, ConstBucketView theirs,
-                        const uint32_t* their_rank,
-                        MergeScratch& scratch) const;
+  /// MergeFrom's kernel, one bucket: folds `theirs` into `mine`.
+  /// Matching IDs add their fields, and `mine` keeps its d most
+  /// significant occupants, best first, then empty cells. Returns
+  /// whether some ID of theirs matched one of mine.
+  bool MergeBucket(BucketView mine, ConstBucketView theirs,
+                   MergeScratch& scratch) const;
 
-  /// Writes a step's kept cells into `bucket`, best first, and clears
-  /// the rest.
-  static void StoreKept(const MergeStep& step, const MergeScratch& scratch,
-                        BucketView bucket);
+  /// Whether some ID occupies bucket b in two of `sources`. When not,
+  /// `occupied` (one entry per source) receives each source's occupant
+  /// count in the bucket.
+  bool SourcesShareAnId(std::span<const RankedSource> sources, uint32_t b,
+                        std::span<uint32_t> occupied) const;
 
   /// The table-scalar half of MergeFrom: period and merged history.
   void MergeScalarsFrom(const Ltc& other);

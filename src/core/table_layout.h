@@ -15,10 +15,11 @@
 // so a bucket's d IDs are one dense 8·d-byte run and the probe becomes a
 // handful of vector compares (SSE2/AVX2, runtime-dispatched, scalar
 // fallback). Callers never index the lanes directly: TableLayout hands
-// out BucketView / CellRef accessors, and Ltc's audit, merge, clone and
-// CLOCK sweep all go through them. The one exception is serialization,
-// which copies each whole lane in bulk through the lane accessors: the
-// v3 checkpoint image is these four lanes back to back.
+// out BucketView / CellRef accessors, and Ltc's audit, merge and clone
+// go through them. The CLOCK sweep is TableLayout's own lane-wise
+// kernel, SweepFlags. The one exception is serialization, which copies
+// each whole lane in bulk through the lane accessors: the v3 checkpoint
+// image is these four lanes back to back.
 //
 // Probe semantics (identical across every backend, pinned by
 // tests/table_layout_test.cc): `match` is the LOWEST cell index whose ID
@@ -220,9 +221,9 @@ class TableLayout {
             cells_per_bucket_};
   }
 
-  /// Flat cell access for the CLOCK sweep and whole-table walks; index
-  /// order matches bucket-major cell order (bucket b's cells occupy
-  /// indices [b·d, (b+1)·d)).
+  /// Flat cell access for whole-table walks; index order matches
+  /// bucket-major cell order (bucket b's cells occupy indices
+  /// [b·d, (b+1)·d)).
   CellRef cell(size_t index) {
     assert(index < ids_.size());
     return {ids_.data() + index, freqs_.data() + index,
@@ -247,6 +248,39 @@ class TableLayout {
   /// True iff bucket b holds the same cells, lane for lane, in this
   /// table and in `other` (which must have the same geometry).
   bool SameBucket(const TableLayout& other, uint32_t b) const;
+
+  /// The CLOCK sweep kernel (§III-B), for Ltc's pointer advance and its
+  /// Finalize: every cell in [begin, end) gains one persistency credit
+  /// per bit of `mask` its flags hold, and those bits are cleared. One
+  /// branch-free pass over the flag and counter lanes, which the
+  /// compiler vectorizes. With kCountOccupied it also returns how many
+  /// of those cells are occupied after the pass (any nonzero id, freq
+  /// or counter), for the metrics sink's occupancy sample; else 0.
+  template <bool kCountOccupied>
+  uint64_t SweepFlags(size_t begin, size_t end, uint8_t mask) {
+    assert(begin <= end && end <= ids_.size());
+    assert((mask & ~0x3u) == 0);
+    uint8_t* __restrict flags = flags_.data();
+    uint32_t* __restrict counters = counters_.data();
+    const uint64_t* __restrict ids = ids_.data();
+    const uint32_t* __restrict freqs = freqs_.data();
+    uint64_t occupied = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t hit = flags[i] & mask;
+      const uint32_t counter = counters[i] + (hit & 1) + (hit >> 1);
+      counters[i] = counter;
+      flags[i] = static_cast<uint8_t>(flags[i] & ~mask);
+      if constexpr (kCountOccupied) {
+        // In 32-bit words: SSE2 has no 64-bit compare, and a 64-bit
+        // test would keep the loop from vectorizing.
+        const uint32_t any = static_cast<uint32_t>(ids[i]) |
+                             static_cast<uint32_t>(ids[i] >> 32) |
+                             freqs[i] | counter;
+        occupied += any != 0;
+      }
+    }
+    return occupied;
+  }
 
   /// Software-prefetches bucket b's ID lane (the probe's first touch)
   /// and counter lanes. InsertBatch calls this a few records ahead —

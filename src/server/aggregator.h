@@ -28,15 +28,16 @@
 // Each node also keeps a rank lane: for every bucket, its cell indices
 // best first (Ltc::RankBuckets), 4 bytes per cell, so 32 KiB beside a
 // node's 136 KiB image at the 128 KiB, d = 8 shape. A push re-ranks
-// only the buckets it changed. The refold then merges each node's
-// ranked run into a bucket's running top-d, which stays in scratch
-// until its lanes are written once. A node whose run shares an item
-// with the running top-d (substreams that are not item-partitioned)
-// takes MergeFrom's add-and-re-rank step for that bucket instead; the
-// agg.republish span counts those steps as matched_steps. Over loopback
-// the merge work, not the network hop, dominates a push: the refold,
-// the deserialize, the bucket diff and rank, and the copy for the hub
-// (ledger in docs/PERF.md "Aggregator push path").
+// only the buckets it changed. The refold then writes each changed
+// bucket once, as the top d of an N-way merge of the nodes' ranked
+// runs. A bucket where two nodes hold the same item (substreams that
+// are not item-partitioned) takes MergeFrom's add-and-re-rank steps,
+// node by node, instead; the agg.republish span counts the steps that
+// added a shared item as matched_steps. Over loopback the merge work,
+// not the network hop, dominates a push: the refold, the deserialize
+// (its CheckInvariants hashes every occupant), the bucket diff and
+// rank, and the copy for the hub (ledgers in docs/PERF.md "Aggregator
+// push path" and "Per-cell loops").
 //
 // Epoch rules, per node: epoch_seq must be >= 1 and is compared against
 // the newest applied epoch. Newer → applied; equal → acknowledged as a

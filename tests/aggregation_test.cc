@@ -510,8 +510,8 @@ TEST_P(AggregatorRefold, EveryPushLeavesTheFullFoldOfTheNewestImages) {
         for (uint64_t r = 0; r < records; ++r) {
           // Overlapping universes, so matching IDs add up in the fold,
           // unless the row partitions them by node: ids interleaved
-          // across nodes (node ids < 16), so id tie-breaks between the
-          // running top-d and a node's run go either way.
+          // across nodes (node ids < 16), so id tie-breaks between
+          // nodes' runs go either way.
           const ItemId item = 1 + rng.Uniform(rng.Bernoulli(0.3) ? 30 : 600);
           table.Insert(GetParam().partitioned ? item * 16 + node : item);
         }

@@ -1,6 +1,7 @@
 // Unit tests for src/common: hashing, RNG, Zipf sampling, formatting.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -91,6 +92,36 @@ TEST(BobHash, FunctorMatchesFreeFunction) {
   EXPECT_EQ(f(uint64_t{123}), BobHash32(uint64_t{123}, 99));
   EXPECT_EQ(f("xyz"), BobHash32("xyz", 99));
   EXPECT_EQ(f.seed(), 99u);
+}
+
+TEST(BobHash, Inline8ByteKeyEqualsByteHash) {
+  // BobHash32(uint64_t) has its own inline path for 8-byte keys; it must
+  // stay the byte hash of the key's in-memory bytes, or every table's
+  // bucket placement (and every saved checkpoint) would move.
+  Rng rng(20);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Every fourth key is small, so the high word is often zero.
+    const uint64_t key = i % 4 == 0 ? rng.Uniform(1000) : rng.Next();
+    const auto seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(BobHash32(key, seed), BobHashBytes32(&key, sizeof(key), seed))
+        << "key=" << key << " seed=" << seed;
+  }
+  for (uint64_t key = 0; key < 1000; ++key) {
+    for (uint32_t seed : {0u, 1u, 0xffffffffu}) {
+      ASSERT_EQ(BobHash32(key, seed), BobHashBytes32(&key, sizeof(key), seed))
+          << "key=" << key << " seed=" << seed;
+    }
+  }
+  // Values recorded with the original byte-wise hash. Byte order is part
+  // of the hash's input, so they hold on little-endian hosts.
+  if constexpr (std::endian::native == std::endian::little) {
+    EXPECT_EQ(BobHash32(uint64_t{0}, 0), 1489077439u);
+    EXPECT_EQ(BobHash32(uint64_t{1}, 0), 1430463807u);
+    EXPECT_EQ(BobHash32(uint64_t{42}, 7), 3361374412u);
+    EXPECT_EQ(BobHash32(uint64_t{0xdeadbeefcafef00d}, 0x9e3779b9),
+              3156469274u);
+    EXPECT_EQ(BobHash32(~uint64_t{0}, ~uint32_t{0}), 3887013184u);
+  }
 }
 
 TEST(BobHash, SixtyFourBitHalvesAreIndependent) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/ltc.h"
 #include "core/sharded_ltc.h"
@@ -688,6 +690,79 @@ TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
   }
 }
 
+/// RefoldBuckets over `sources`, every bucket ranked and listed.
+uint64_t RefoldAll(Ltc& fold, const std::vector<Ltc>& sources) {
+  std::vector<uint32_t> all(fold.num_buckets());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<std::vector<uint32_t>> ranks;
+  std::vector<Ltc::RankedSource> list;
+  ranks.reserve(sources.size());
+  for (const Ltc& source : sources) {
+    ranks.emplace_back(source.num_cells());
+    source.RankBuckets(all, ranks.back());
+    list.push_back({&source, ranks.back()});
+  }
+  return fold.RefoldBuckets(list, all);
+}
+
+TEST(Ltc, RankedRefoldOfIdsSharedAcrossSourcesEqualsTheMergeFromFold) {
+  LtcConfig config = OneBucket(2);
+  config.beta = 0.0;  // significance = frequency
+  const auto source = [&](std::vector<std::pair<ItemId, int>> items) {
+    Ltc table(config);
+    for (auto [item, times] : items) {
+      for (int i = 0; i < times; ++i) table.Insert(item);
+    }
+    table.Finalize();
+    return table;
+  };
+  {
+    SCOPED_TRACE("shared by sources 0 and 2, dropped by source 1");
+    // After sources 0 and 1 the running top-2 is {2, 3}: item 100 is
+    // gone, so source 2 brings it back alone and no step matches.
+    const std::vector<Ltc> sources = {source({{100, 1}, {1, 5}}),
+                                      source({{2, 10}, {3, 9}}),
+                                      source({{100, 20}, {4, 2}})};
+    Ltc fold(config);
+    EXPECT_EQ(RefoldAll(fold, sources), 0u);
+    EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
+    EXPECT_EQ(fold.EstimateFrequency(100), 20u);
+  }
+  {
+    SCOPED_TRACE("shared by sources 0 and 2, kept by source 1");
+    // The running top-2 after source 1 is {2, 100}, so source 2's step
+    // adds into item 100.
+    const std::vector<Ltc> sources = {source({{100, 8}, {1, 5}}),
+                                      source({{2, 10}, {3, 1}}),
+                                      source({{100, 3}, {4, 2}})};
+    Ltc fold(config);
+    EXPECT_EQ(RefoldAll(fold, sources), 1u);
+    EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
+    EXPECT_EQ(fold.EstimateFrequency(100), 11u);
+  }
+  {
+    SCOPED_TRACE("one shared pair among 8 sources");
+    LtcConfig wide;
+    wide.memory_bytes = 16 * 8 * LtcConfig::BytesPerCell();  // 16 buckets
+    wide.items_per_period = 50;
+    std::vector<Ltc> sources(8, Ltc(wide));
+    Rng rng(8);
+    for (size_t s = 0; s < sources.size(); ++s) {
+      for (int r = 0; r < 300; ++r) {
+        // Item-partitioned ids, interleaved across sources...
+        sources[s].Insert((1 + rng.Uniform(200)) * 8 + s);
+        // ...but for one hot item that sources 2 and 5 both see.
+        if ((s == 2 || s == 5) && r % 3 == 0) sources[s].Insert(7);
+      }
+      sources[s].Finalize();
+    }
+    Ltc fold(wide);
+    EXPECT_EQ(RefoldAll(fold, sources), 1u);
+    EXPECT_EQ(Bytes(fold), MergeFromFold(wide, sources));
+    EXPECT_EQ(fold.EstimateFrequency(7), 200u);
+  }
+}
+
 TEST(Ltc, RankBucketsOrdersOccupantsBestFirstThenEmpties) {
   LtcConfig config = OneBucket(6);
   config.beta = 0.0;  // significance = frequency, so 5 and 9 tie
@@ -701,6 +776,107 @@ TEST(Ltc, RankBucketsOrdersOccupantsBestFirstThenEmpties) {
             (std::vector<uint32_t>{2, 1, 0, 3}));
   EXPECT_EQ((std::set<uint32_t>(rank.begin() + 4, rank.end())),
             (std::set<uint32_t>{4, 5}));
+}
+
+// The CLOCK sweep's output, recorded with the cell-by-cell sweep it
+// replaced: CRC-32 of the image after a fixed stream and again after
+// Finalize, and the attached sink's clock_steps and occupied_cells.
+// Rows in the loop order below: period mode, Deviation Eliminator, LTR,
+// then d.
+struct SweepGolden {
+  uint32_t crc;
+  uint64_t clock_steps;
+  uint64_t occupied_cells;
+};
+
+constexpr SweepGolden kSweepGolden[] = {
+    {0x435d742a, 5120, 194},
+    {0x4b536584, 5120, 251},
+    {0x09c8e97e, 5120, 256},
+    {0xdc7a2dc6, 5120, 198},
+    {0xfec385cd, 5120, 249},
+    {0xccf7f352, 5120, 256},
+    {0x991781f3, 5120, 196},
+    {0x36d6d4d5, 5120, 249},
+    {0x33b8cbf4, 5120, 256},
+    {0xc1ebb173, 5120, 196},
+    {0xf413bf7e, 5120, 251},
+    {0x3bf94920, 5120, 256},
+    {0x3e9025fc, 5173, 196},
+    {0x6ece380d, 5186, 249},
+    {0x03459fd4, 5086, 256},
+    {0x2e34333f, 5215, 198},
+    {0xcfaa6eca, 5118, 251},
+    {0xdb7578fc, 4988, 256},
+    {0x5937d34a, 4990, 197},
+    {0x98fc0e14, 5208, 249},
+    {0x118c1f87, 4997, 256},
+    {0x0c0e23e1, 5090, 197},
+    {0x9b39a39b, 5041, 250},
+    {0x4008e318, 5274, 256},
+};
+
+TEST(LtcSweep, ImagesAndSinkCountsMatchRecordedValues) {
+  size_t row = 0;
+  for (PeriodMode mode : {PeriodMode::kCountBased, PeriodMode::kTimeBased}) {
+    for (bool de : {true, false}) {
+      for (bool ltr : {true, false}) {
+        for (uint32_t d : {1u, 8u, 32u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "row=" << row
+                       << " time=" << (mode == PeriodMode::kTimeBased)
+                       << " de=" << de << " ltr=" << ltr << " d=" << d);
+          ASSERT_LT(row, std::size(kSweepGolden));
+          const SweepGolden& golden = kSweepGolden[row++];
+          LtcConfig config;
+          config.memory_bytes = 4 * 1024;  // 256 cells
+          config.cells_per_bucket = d;
+          config.deviation_eliminator = de;
+          config.long_tail_replacement = ltr;
+          config.period_mode = mode;
+          // 2.56 cells per arrival, or about 100 arrivals per second.
+          config.items_per_period = 100;
+          config.period_seconds = 1.0;
+          config.seed = 3;
+          for ([[maybe_unused]] bool attach : {true, false}) {
+            Ltc table(config);
+#ifdef LTC_METRICS
+            LtcMetricsSink sink;
+            if (attach) table.AttachMetricsSink(&sink);
+#endif
+            Rng rng(row);
+            double time = 0.0;
+            std::vector<Record> batch;
+            for (int i = 0; i < 2000; ++i) {
+              time += rng.UniformDouble() * 0.02;
+              batch.push_back(
+                  {1 + rng.Uniform(rng.Bernoulli(0.5) ? 20 : 400), time});
+              // Uneven batches, so sweeps start and end mid-bucket.
+              if (batch.size() == 1 + static_cast<size_t>(i % 7)) {
+                table.InsertBatch(batch);
+                batch.clear();
+              }
+            }
+            table.InsertBatch(batch);
+            const std::string live = Bytes(table);
+            table.Finalize();
+            const std::string finalized = Bytes(table);
+            const uint32_t crc = Crc32Final(
+                Crc32Update(Crc32Update(Crc32Init(), live.data(), live.size()),
+                            finalized.data(), finalized.size()));
+            EXPECT_EQ(crc, golden.crc);
+#ifdef LTC_METRICS
+            if (attach) {
+              EXPECT_EQ(sink.clock_steps, golden.clock_steps);
+              EXPECT_EQ(sink.occupied_cells, golden.occupied_cells);
+            }
+#endif
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kSweepGolden));
 }
 
 }  // namespace
