@@ -17,7 +17,9 @@
 //    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
 //    pipeline with and without per-shard metrics sinks;
 //  * BM_AggregatorRefold at 1/4/8 nodes — the aggregator's per-push
-//    merge (docs/PERF.md "Aggregator push path").
+//    merge (docs/PERF.md "Aggregator push path"), and BM_DispatchPush,
+//    the same pushes through the server's request dispatch
+//    (docs/PERF.md "Incremental push apply").
 // --benchmark_format=json carries probe_backend and git_sha in its
 // context block.
 
@@ -26,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,6 +36,9 @@
 #include "core/table_layout.h"
 #include "ingest/ingest_pipeline.h"
 #include "server/aggregator.h"
+#include "server/dispatcher.h"
+#include "server/key_codec.h"
+#include "server/protocol.h"
 #include "telemetry/build_info.h"
 
 namespace ltc {
@@ -296,58 +302,79 @@ BENCHMARK(BM_PipelineInsert)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The aggregator's push path on one core: AggregatorCore::ApplyPush of
-// one node's next barrier image into the serve_agg shape (128 KiB,
-// d = 8, no hub), every node's earlier images already folded. Each
-// node ingests its own hash partition of a Zipf stream and pushes after
-// serve_agg's per-node chunk, so a push changes about as many buckets
-// as there; the rows differ in how many nodes each refold walks. Image
-// building runs outside the timed region.
-void BM_AggregatorRefold(benchmark::State& state) {
-  static const Stream* stream = new Stream(
-      MakeZipfStream(ScaledRecords(500'000, 500'000),
-                     ScaledRecords(500'000, 500'000) / 8, 1.0, 500, 7));
-  const std::span<const Record> records = stream->records();
-  const auto nodes = static_cast<uint32_t>(state.range(0));
-  const size_t chunk = std::max<size_t>(1, records.size() / 4 / 61);
-  LtcConfig config;
-  config.memory_bytes = 128 * 1024;
-  config.items_per_period = std::max<size_t>(1, records.size() / 4 / 500);
+// Pushes at the serve_agg shape (128 KiB, d = 8): each node ingests its
+// own hash partition of a Zipf stream and images its table after
+// serve_agg's per-node chunk, so a push changes about as many buckets as
+// there. Warm() folds four rounds of every node's images first.
+class ServeAggPushes {
+ public:
+  explicit ServeAggPushes(uint32_t nodes)
+      : nodes_(nodes), cursor_(nodes, 0) {
+    static const Stream* stream = new Stream(
+        MakeZipfStream(ScaledRecords(500'000, 500'000),
+                       ScaledRecords(500'000, 500'000) / 8, 1.0, 500, 7));
+    records_ = stream->records();
+    chunk_ = std::max<size_t>(1, records_.size() / 4 / 61);
+    config_.memory_bytes = 128 * 1024;
+    config_.items_per_period = std::max<size_t>(1, records_.size() / 4 / 500);
+    live_.assign(nodes, Ltc(config_));
+  }
 
-  std::vector<Ltc> live(nodes, Ltc(config));
-  std::vector<size_t> cursor(nodes, 0);
-  std::vector<Record> batch;
-  uint64_t epoch = 0;
+  const LtcConfig& config() const { return config_; }
+
   // Node n's next chunk of its partition (wrapping around the stream),
   // then the image it would push.
-  const auto next_push = [&](uint32_t n) {
-    batch.clear();
-    while (batch.size() < chunk) {
-      const Record& record = records[cursor[n]];
-      cursor[n] = (cursor[n] + 1) % records.size();
+  server::PushRequest Next(uint32_t n) {
+    batch_.clear();
+    while (batch_.size() < chunk_) {
+      const Record& record = records_[cursor_[n]];
+      cursor_[n] = (cursor_[n] + 1) % records_.size();
       const uint64_t part =
-          (record.item * uint64_t{0x9E3779B97F4A7C15} >> 32) % nodes;
-      if (part == n) batch.push_back(record);
+          (record.item * uint64_t{0x9E3779B97F4A7C15} >> 32) % nodes_;
+      if (part == n) batch_.push_back(record);
     }
-    live[n].InsertBatch(batch);
-    Ltc image = live[n].CloneAtBarrier();
+    live_[n].InsertBatch(batch_);
+    Ltc image = live_[n].CloneAtBarrier();
     image.Finalize();
     BinaryWriter writer;
     image.Serialize(writer);
     server::PushRequest push;
     push.node_id = n + 1;
-    push.epoch_seq = ++epoch;
-    push.payload = writer.data();
+    push.epoch_seq = ++epoch_;
+    push.payload = writer.Release();
     return push;
-  };
-  server::AggregatorCore aggregator(config, nullptr);
-  for (int round = 0; round < 4; ++round) {
-    for (uint32_t n = 0; n < nodes; ++n) aggregator.ApplyPush(next_push(n));
   }
+
+  void Warm(server::AggregatorCore& aggregator) {
+    for (int round = 0; round < 4; ++round) {
+      for (uint32_t n = 0; n < nodes_; ++n) aggregator.ApplyPush(Next(n));
+    }
+  }
+
+ private:
+  uint32_t nodes_;
+  std::span<const Record> records_;
+  size_t chunk_ = 0;
+  LtcConfig config_;
+  std::vector<Ltc> live_;
+  std::vector<size_t> cursor_;
+  std::vector<Record> batch_;
+  uint64_t epoch_ = 0;
+};
+
+// The aggregator's push path on one core: AggregatorCore::ApplyPush of
+// one node's next barrier image (no hub), every node's earlier images
+// already folded; the rows differ in how many nodes the fold holds.
+// Image building runs outside the timed region.
+void BM_AggregatorRefold(benchmark::State& state) {
+  const auto nodes = static_cast<uint32_t>(state.range(0));
+  ServeAggPushes pushes(nodes);
+  server::AggregatorCore aggregator(pushes.config(), nullptr);
+  pushes.Warm(aggregator);
   uint32_t n = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    const server::PushRequest push = next_push(n);
+    const server::PushRequest push = pushes.Next(n);
     n = (n + 1) % nodes;
     state.ResumeTiming();
     if (!aggregator.ApplyPush(push).applied) {
@@ -357,6 +384,39 @@ void BM_AggregatorRefold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AggregatorRefold)
+    ->ArgName("nodes")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same pushes as BM_AggregatorRefold, through the server's dispatch:
+// QueryDispatcher::Handle of a whole PUSH_SKETCH request payload, so the
+// header decode and the hand-over of the sketch bytes are timed too.
+void BM_DispatchPush(benchmark::State& state) {
+  const auto nodes = static_cast<uint32_t>(state.range(0));
+  ServeAggPushes pushes(nodes);
+  server::AggregatorCore aggregator(pushes.config(), nullptr);
+  pushes.Warm(aggregator);
+  const ReadSnapshotHub hub;  // queries only; the aggregator has none
+  const server::NumericKeyCodec codec;
+  server::QueryDispatcher dispatcher(hub, codec, 0);
+  dispatcher.AttachAggregator(&aggregator);
+  uint32_t n = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::string request = server::EncodePushRequest(pushes.Next(n));
+    n = (n + 1) % nodes;
+    state.ResumeTiming();
+    const std::string response = dispatcher.Handle(request);
+    if (response.empty() ||
+        response[0] != static_cast<char>(server::Status::kOk)) {
+      state.SkipWithError("push not acknowledged");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_DispatchPush)
     ->ArgName("nodes")
     ->Arg(1)
     ->Arg(4)

@@ -13,11 +13,18 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace ltc {
 
 class BinaryWriter {
  public:
+  BinaryWriter() = default;
+  /// Writes after the bytes already in `prefix` (e.g. a frame header),
+  /// keeping its capacity, so a caller that reserved room for the whole
+  /// message serializes into it without another copy.
+  explicit BinaryWriter(std::string prefix) : buffer_(std::move(prefix)) {}
+
   void PutU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
@@ -32,6 +39,9 @@ class BinaryWriter {
 
   const std::string& data() const { return buffer_; }
   size_t size() const { return buffer_.size(); }
+
+  /// Hands the buffer back; the writer is left empty.
+  std::string Release() { return std::move(buffer_); }
 
  private:
   void PutRaw(const void* data, size_t len) {

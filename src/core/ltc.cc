@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -523,18 +524,26 @@ bool Ltc::MergeFrom(const Ltc& other) {
 }
 
 void Ltc::RankBuckets(std::span<const uint32_t> buckets,
-                      std::span<uint32_t> rank) const {
+                      std::span<uint32_t> rank,
+                      std::span<IdSketch> sketches) const {
   assert(rank.size() == table_.num_cells());
+  assert(sketches.empty() || sketches.size() == num_buckets_);
   const uint32_t d = config_.cells_per_bucket;
   std::vector<MergeCell> cells(d);
   for (uint32_t b : buckets) {
     // Empty cells rank last, among themselves by index: significance -1
     // is below every occupant's, and the index stands in for the ID.
     ConstBucketView bucket = table_.bucket(b);
+    IdSketch sketch;
     for (uint32_t i = 0; i < d; ++i) {
       LoadMergeCell(bucket.cell(i), cells[i]);
-      if (cells[i].id == 0) cells[i] = {-1.0, i, 0, 0, 0};
+      if (cells[i].id == 0) {
+        cells[i] = {-1.0, i, 0, 0, 0};
+      } else {
+        sketch.Add(cells[i].id);
+      }
     }
+    if (!sketches.empty()) sketches[b] = sketch;
     // Insertion sort from the bucket's previous order, which a push
     // mostly leaves in place; a new lane's zeros become 0..d-1 first.
     uint32_t* order = rank.data() + size_t{b} * d;
@@ -551,91 +560,196 @@ void Ltc::RankBuckets(std::span<const uint32_t> buckets,
 }
 
 bool Ltc::SourcesShareAnId(std::span<const RankedSource> sources,
-                           uint32_t b, std::span<uint32_t> occupied) const {
-  // A 256-bit sketch of the IDs of the sources read so far filters the
-  // exact compare: only an ID whose bit is already set is probed for in
-  // the earlier sources. IDs within one bucket are unique, so a source
-  // is not compared with itself.
-  uint64_t seen[4] = {};
+                           uint32_t b) const {
+  // A sketch of the IDs of the sources read so far filters the exact
+  // compare: only an ID whose bit is already set is probed for in the
+  // earlier sources. IDs within one bucket are unique, so a source is
+  // not compared with itself.
+  IdSketch seen;
   for (size_t s = 0; s < sources.size(); ++s) {
     ConstBucketView theirs = sources[s].table->table_.bucket(b);
-    uint64_t added[4] = {};
-    uint32_t count = 0;
+    IdSketch added;
     for (uint32_t i = 0; i < theirs.size(); ++i) {
       const ItemId id = theirs.cell(i).id();
       if (id == 0) continue;
-      ++count;
-      const uint32_t bit =
-          static_cast<uint32_t>(id * uint64_t{0x9E3779B97F4A7C15} >> 56);
-      if ((seen[bit >> 6] >> (bit & 63)) & 1) {
+      if (seen.MayHold(id)) {
         for (size_t t = 0; t < s; ++t) {
           if (sources[t].table->table_.bucket(b).Probe(id).match >= 0) {
             return true;
           }
         }
       }
-      added[bit >> 6] |= uint64_t{1} << (bit & 63);
+      added.Add(id);
     }
-    for (int w = 0; w < 4; ++w) seen[w] |= added[w];
-    occupied[s] = count;
+    seen.Add(added);
   }
   return false;
 }
 
-uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
-                            std::span<const uint32_t> buckets) {
-  const uint32_t d = config_.cells_per_bucket;
-  const size_t n = sources.size();
-  MergeScratch scratch(d);
-  // Per source: the occupants of the bucket, how many of its ranked run
-  // are taken, and the next of them, loaded. A spent run's head ranks
-  // below every occupant (significances are >= 0), so it is never taken.
-  std::vector<uint32_t> occupied(n);
-  std::vector<uint32_t> taken(n);
-  std::vector<MergeCell> heads(n);
-  const MergeCell spent{-1.0, 0, 0, 0, 0};
-  uint64_t matched_steps = 0;
-  for (uint32_t b : buckets) {
-    BucketView bucket = table_.bucket(b);
-    if (SourcesShareAnId(sources, b, occupied)) {
-      // MergeFrom's own steps, each counted when it adds a shared ID.
-      for (uint32_t i = 0; i < d; ++i) bucket.cell(i).Clear();
-      for (const RankedSource& source : sources) {
-        matched_steps +=
-            MergeBucket(bucket, source.table->table_.bucket(b), scratch);
+bool Ltc::PusherSharesAnId(std::span<const RankedSource> sources,
+                           size_t pusher, uint32_t b) {
+  IdSketch others;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    if (s != pusher) others.Add(sources[s].sketches[b]);
+  }
+  ConstBucketView mine = sources[pusher].table->table_.bucket(b);
+  for (uint32_t i = 0; i < mine.size(); ++i) {
+    const ItemId id = mine.cell(i).id();
+    if (id == 0 || !others.MayHold(id)) continue;
+    for (size_t s = 0; s < sources.size(); ++s) {
+      if (s != pusher && sources[s].sketches[b].MayHold(id) &&
+          sources[s].table->table_.bucket(b).Probe(id).match >= 0) {
+        return true;
       }
+    }
+  }
+  return false;
+}
+
+bool Ltc::RefoldAgainstPusher(const RankedSource& pusher, bool alone,
+                              uint32_t b, FoldState& state,
+                              MergeScratch& scratch) {
+  const uint32_t d = config_.cells_per_bucket;
+  const size_t base = size_t{b} * d;
+  BucketView bucket = table_.bucket(b);
+  uint8_t* tags = state.tags.data() + base;
+  // The other sources' share of the old bucket, best first: the old
+  // bucket is ranked, so dropping the pusher's cells keeps the order.
+  MergeCell* rest = scratch.cells.data();
+  uint8_t* rest_tags = scratch.tags.data();
+  uint32_t kept = 0;
+  for (uint32_t i = 0; i < d; ++i) {
+    ConstCellRef cell = bucket.cell(i);
+    if (cell.id() == 0 || tags[i] == pusher.slot) continue;
+    LoadMergeCell(cell, rest[kept]);
+    rest_tags[kept++] = tags[i];
+  }
+  // Two-way merge with the pusher's run; a spent run's head ranks below
+  // every occupant (significances are >= 0), so it is never taken.
+  const MergeCell spent{-1.0, 0, 0, 0, 0};
+  MergeCell* merged = rest + d;
+  uint8_t* merged_tags = rest_tags + d;
+  const Ltc& theirs = *pusher.table;
+  uint32_t taken = 0;
+  MergeCell head = spent;
+  const auto load_head = [&] {
+    head = spent;
+    if (taken == d) return;
+    ConstCellRef cell = theirs.table_.cell(base + pusher.rank[base + taken]);
+    if (cell.id() != 0) LoadMergeCell(cell, head);
+  };
+  load_head();
+  uint32_t from_rest = 0;
+  uint32_t n = 0;
+  for (; n < d; ++n) {
+    if (from_rest < kept && RanksBefore(rest[from_rest], head)) {
+      merged[n] = rest[from_rest];
+      merged_tags[n] = rest_tags[from_rest++];
+    } else if (head.id != 0) {
+      merged[n] = head;
+      merged_tags[n] = pusher.slot;
+      ++taken;
+      load_head();
+    } else {
+      break;
+    }
+  }
+  // The cutoff test. A full old bucket may have left cells of the other
+  // sources out, each ranked after its d-th cell; the result is exact
+  // only if its own d-th cell ranks at or before that one. With no
+  // other source, nothing was left out.
+  if (!alone && bucket.cell(d - 1).id() != 0) {
+    MergeCell old_last;
+    LoadMergeCell(bucket.cell(d - 1), old_last);
+    if (n < d || RanksBefore(old_last, merged[d - 1])) return false;
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    StoreCell(merged[i], bucket.cell(i));
+    tags[i] = merged_tags[i];
+  }
+  for (uint32_t i = n; i < d; ++i) bucket.cell(i).Clear();
+  return true;
+}
+
+void Ltc::RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
+                           std::span<MergeCell> heads,
+                           std::span<uint32_t> taken, uint8_t* tags) {
+  const uint32_t d = config_.cells_per_bucket;
+  const size_t base = size_t{b} * d;
+  const size_t n = sources.size();
+  BucketView bucket = table_.bucket(b);
+  // Per source: how much of its ranked run is taken, and the next cell
+  // of it, loaded. A spent run's head ranks below every occupant
+  // (significances are >= 0), so it is never taken.
+  const MergeCell spent{-1.0, 0, 0, 0, 0};
+  std::fill(taken.begin(), taken.end(), 0u);
+  const auto load_head = [&](size_t s) {
+    heads[s] = spent;
+    if (taken[s] == d) return;
+    const RankedSource& source = sources[s];
+    ConstCellRef cell =
+        source.table->table_.cell(base + source.rank[base + taken[s]]);
+    if (cell.id() != 0) LoadMergeCell(cell, heads[s]);
+  };
+  for (size_t s = 0; s < n; ++s) load_head(s);
+  uint32_t kept = 0;
+  for (; kept < d; ++kept) {
+    size_t best = 0;
+    for (size_t s = 1; s < n; ++s) {
+      best = RanksBefore(heads[s], heads[best]) ? s : best;
+    }
+    if (heads[best].id == 0) break;
+    StoreCell(heads[best], bucket.cell(kept));
+    if (tags != nullptr) tags[kept] = sources[best].slot;
+    ++taken[best];
+    load_head(best);
+  }
+  for (uint32_t i = kept; i < d; ++i) bucket.cell(i).Clear();
+}
+
+uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
+                            std::span<const uint32_t> buckets,
+                            FoldState* state, size_t pusher) {
+  const uint32_t d = config_.cells_per_bucket;
+  MergeScratch scratch(d);
+  std::vector<MergeCell> heads(sources.size());
+  std::vector<uint32_t> taken(sources.size());
+  assert(state == nullptr ||
+         std::all_of(sources.begin(), sources.end(), [&](const auto& source) {
+           return source.sketches.size() == num_buckets_;
+         }));
+  uint64_t matched_steps = 0;
+  RefoldPaths uncounted;
+  RefoldPaths& paths = state != nullptr ? state->paths : uncounted;
+  for (uint32_t b : buckets) {
+    uint8_t* tags =
+        state != nullptr ? state->tags.data() + size_t{b} * d : nullptr;
+    bool shared;
+    if (state != nullptr && state->disjoint[b]) {
+      shared = PusherSharesAnId(sources, pusher, b);
+      if (!shared && RefoldAgainstPusher(sources[pusher], sources.size() == 1,
+                                         b, *state, scratch)) {
+        ++paths.two_way;
+        continue;
+      }
+    } else {
+      shared = SourcesShareAnId(sources, b);
+    }
+    if (!shared) {
+      RefoldAllSources(sources, b, heads, taken, tags);
+      if (state != nullptr) state->disjoint[b] = 1;
+      ++paths.n_way;
       continue;
     }
-    // Disjoint IDs: the fold is the top d of all the sources' occupants,
-    // best first, which an N-way merge of their ranked runs yields.
-    const size_t base = size_t{b} * d;
-    const auto load_head = [&](size_t s) {
-      if (taken[s] == occupied[s]) {
-        heads[s] = spent;
-        return;
-      }
-      const RankedSource& source = sources[s];
-      LoadMergeCell(source.table->table_.cell(
-                        base + source.rank[base + taken[s]]),
-                    heads[s]);
-    };
-    uint32_t total = 0;
-    for (size_t s = 0; s < n; ++s) {
-      taken[s] = 0;
-      total += occupied[s];
-      load_head(s);
+    // MergeFrom's own steps, each counted when it adds a shared ID.
+    BucketView bucket = table_.bucket(b);
+    for (uint32_t i = 0; i < d; ++i) bucket.cell(i).Clear();
+    for (const RankedSource& source : sources) {
+      matched_steps +=
+          MergeBucket(bucket, source.table->table_.bucket(b), scratch);
     }
-    total = std::min(total, d);
-    for (uint32_t kept = 0; kept < total; ++kept) {
-      size_t best = 0;
-      for (size_t s = 1; s < n; ++s) {
-        best = RanksBefore(heads[s], heads[best]) ? s : best;
-      }
-      StoreCell(heads[best], bucket.cell(kept));
-      ++taken[best];
-      load_head(best);
-    }
-    for (uint32_t i = total; i < d; ++i) bucket.cell(i).Clear();
+    if (state != nullptr) state->disjoint[b] = 0;
+    ++paths.stepwise;
   }
   current_period_ = 0;
   merged_history_periods_ = 0;
@@ -660,9 +774,15 @@ constexpr uint32_t kLtcMagic = 0x4c544331;  // "LTC1"
 //     in-memory page shape. Deserialize still accepts v2 images.
 constexpr uint32_t kLtcFormatVersionAos = 2;
 constexpr uint32_t kLtcFormatVersion = 3;
+// The v3 image: the header (magic, version, config), five u64/double
+// scalars and the cell count, then the four lanes (8 + 4 + 4 + 1 bytes
+// per cell).
+constexpr size_t kLtcHeaderBytes = 64;
+constexpr size_t kLtcScalarBytes = 6 * 8;
+constexpr size_t kLtcBytesPerCellImage = 8 + 4 + 4 + 1;
 }  // namespace
 
-void Ltc::Serialize(BinaryWriter& writer) const {
+void Ltc::SerializeHeader(BinaryWriter& writer) const {
   PutVersionedMagic(writer, kLtcMagic, kLtcFormatVersion);
   writer.PutU64(config_.memory_bytes);
   writer.PutU32(config_.cells_per_bucket);
@@ -675,6 +795,17 @@ void Ltc::Serialize(BinaryWriter& writer) const {
   writer.PutU64(config_.items_per_period);
   writer.PutDouble(config_.period_seconds);
   writer.PutU64(config_.seed);
+}
+
+size_t Ltc::SerializedBytes() const {
+  return kLtcHeaderBytes + kLtcScalarBytes +
+         table_.num_cells() * kLtcBytesPerCellImage;
+}
+
+void Ltc::Serialize(BinaryWriter& writer) const {
+  [[maybe_unused]] const size_t start = writer.size();
+  SerializeHeader(writer);
+  assert(writer.size() - start == kLtcHeaderBytes);
 
   writer.PutU64(items_seen_);
   writer.PutU64(current_period_);
@@ -689,6 +820,127 @@ void Ltc::Serialize(BinaryWriter& writer) const {
   writer.PutBytes(table_.freqs().data(), table_.freqs().size_bytes());
   writer.PutBytes(table_.counters().data(), table_.counters().size_bytes());
   writer.PutBytes(table_.flags().data(), table_.flags().size_bytes());
+  assert(writer.size() - start == SerializedBytes());
+}
+
+uint64_t Ltc::CounterCap(const LtcConfig& config, uint64_t period,
+                         uint64_t merged_history_periods) {
+  // Persistency can never exceed the number of periods touched so far —
+  // plus whatever history merged-in peers contributed. Under the basic
+  // single-flag scheme a period can be credited twice (the 2× deviation
+  // of §III-C), so the cap doubles.
+  uint64_t cap = period + 1 + merged_history_periods;
+  if (!config.deviation_eliminator) cap *= 2;
+  return cap;
+}
+
+bool Ltc::ClockStateHolds(const LtcConfig& config, uint64_t m,
+                          uint64_t items_seen, uint64_t period,
+                          uint64_t scan_cursor, double last_time) {
+  // The expressions mirror the insert path's exactly, so the comparison
+  // is exact.
+  if (scan_cursor > m) return false;
+  if (config.period_mode == PeriodMode::kCountBased) {
+    return items_seen < config.items_per_period &&
+           scan_cursor == items_seen * m / config.items_per_period;
+  }
+  const double t = config.period_seconds;
+  const double period_start = static_cast<double>(period) * t;
+  const double period_end = (static_cast<double>(period) + 1.0) * t;
+  if (!(last_time >= period_start) || !(last_time < period_end)) {
+    return false;
+  }
+  const double offset = last_time - period_start;
+  const auto target =
+      static_cast<uint64_t>(offset / t * static_cast<double>(m));
+  return scan_cursor == std::min(target, m);
+}
+
+Ltc::ImageUpdate Ltc::UpdateFromImage(std::string_view image,
+                                      std::vector<uint32_t>& changed) {
+  changed.clear();
+  BinaryWriter header;
+  SerializeHeader(header);
+  if (image.substr(0, kLtcHeaderBytes) != header.data()) {
+    return ImageUpdate::kNewHeader;
+  }
+  // Same config, so the same geometry: Deserialize accepts exactly this
+  // many bytes (fewer fail its reads, more fail AtEnd).
+  const size_t m = table_.num_cells();
+  if (image.size() != SerializedBytes()) return ImageUpdate::kCorrupt;
+  BinaryReader reader(image.substr(kLtcHeaderBytes));
+  const uint64_t items_seen = reader.GetU64();
+  const uint64_t period = reader.GetU64();
+  const uint64_t scan_cursor = reader.GetU64();
+  const double last_time = reader.GetDouble();
+  const uint64_t merged_history = reader.GetU64();
+  const uint64_t num_cells = reader.GetU64();
+  if (num_cells != m || !ClockStateHolds(config_, m, items_seen, period,
+                                         scan_cursor, last_time)) {
+    return ImageUpdate::kCorrupt;
+  }
+  const uint64_t cap = CounterCap(config_, period, merged_history);
+  // An unchanged bucket passed every check when it was written, under
+  // the old cap; a lower cap must see its counters again.
+  const bool check_all =
+      cap < CounterCap(config_, current_period_, merged_history_periods_);
+
+  const uint32_t d = config_.cells_per_bucket;
+  const char* lanes = image.data() + kLtcHeaderBytes + kLtcScalarBytes;
+  const char* ids = lanes;
+  const char* freqs = ids + m * sizeof(uint64_t);
+  const char* counters = freqs + m * sizeof(uint32_t);
+  const char* flags = counters + m * sizeof(uint32_t);
+  // One bucket's cells, copied out of the image (whose lanes sit at any
+  // alignment) so the checks read them through aligned views.
+  std::vector<uint64_t> bucket_ids(d);
+  std::vector<uint32_t> bucket_freqs(d);
+  std::vector<uint32_t> bucket_counters(d);
+  std::vector<uint8_t> bucket_flags(d);
+  const ConstBucketView staged(bucket_ids.data(), bucket_freqs.data(),
+                               bucket_counters.data(), bucket_flags.data(),
+                               d);
+  for (uint32_t b = 0; b < num_buckets_; ++b) {
+    const size_t base = size_t{b} * d;
+    const bool same =
+        std::memcmp(ids + base * sizeof(uint64_t), table_.ids().data() + base,
+                    d * sizeof(uint64_t)) == 0 &&
+        std::memcmp(freqs + base * sizeof(uint32_t),
+                    table_.freqs().data() + base, d * sizeof(uint32_t)) == 0 &&
+        std::memcmp(counters + base * sizeof(uint32_t),
+                    table_.counters().data() + base,
+                    d * sizeof(uint32_t)) == 0 &&
+        std::memcmp(flags + base, table_.flags().data() + base, d) == 0;
+    if (same && !check_all) continue;
+    std::memcpy(bucket_ids.data(), ids + base * sizeof(uint64_t),
+                d * sizeof(uint64_t));
+    std::memcpy(bucket_freqs.data(), freqs + base * sizeof(uint32_t),
+                d * sizeof(uint32_t));
+    std::memcpy(bucket_counters.data(), counters + base * sizeof(uint32_t),
+                d * sizeof(uint32_t));
+    std::memcpy(bucket_flags.data(), flags + base, d);
+    if (!BucketHolds(staged, b, cap)) return ImageUpdate::kCorrupt;
+    if (!same) changed.push_back(b);
+  }
+
+  // Every check passed: copy in the changed buckets and the scalars.
+  for (uint32_t b : changed) {
+    const size_t base = size_t{b} * d;
+    std::memcpy(table_.ids().data() + base, ids + base * sizeof(uint64_t),
+                d * sizeof(uint64_t));
+    std::memcpy(table_.freqs().data() + base, freqs + base * sizeof(uint32_t),
+                d * sizeof(uint32_t));
+    std::memcpy(table_.counters().data() + base,
+                counters + base * sizeof(uint32_t), d * sizeof(uint32_t));
+    std::memcpy(table_.flags().data() + base, flags + base, d);
+  }
+  items_seen_ = items_seen;
+  current_period_ = period;
+  scan_cursor_ = scan_cursor;
+  last_time_ = last_time;
+  merged_history_periods_ = merged_history;
+  ResetClockStepper();
+  return ImageUpdate::kUpdated;
 }
 
 std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {
@@ -731,7 +983,9 @@ std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {
       static_cast<uint64_t>(
           static_cast<uint32_t>(std::max<size_t>(1, implied_w))) *
       config.cells_per_bucket;
-  if (implied_cells > reader.Remaining() / 17) return std::nullopt;
+  if (implied_cells > reader.Remaining() / kLtcBytesPerCellImage) {
+    return std::nullopt;
+  }
 
   Ltc table(config);
   table.items_seen_ = reader.GetU64();
@@ -767,29 +1021,11 @@ std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {
 
   // Clock-state consistency: the pacing relations the clock advance
   // maintains hold at every instant (Finalize touches only flags), so a
-  // checkpoint that breaks them is corrupt. The expressions mirror the
-  // insert path's exactly, so the comparison is exact.
-  const uint64_t m = table.table_.num_cells();
-  if (config.period_mode == PeriodMode::kCountBased) {
-    if (table.items_seen_ >= config.items_per_period ||
-        table.scan_cursor_ !=
-            table.items_seen_ * m / config.items_per_period) {
-      return std::nullopt;
-    }
-  } else {
-    const double t = config.period_seconds;
-    const double period_start =
-        static_cast<double>(table.current_period_) * t;
-    const double period_end =
-        (static_cast<double>(table.current_period_) + 1.0) * t;
-    if (!(table.last_time_ >= period_start) ||
-        !(table.last_time_ < period_end)) {
-      return std::nullopt;
-    }
-    const double offset = table.last_time_ - period_start;
-    const auto target =
-        static_cast<uint64_t>(offset / t * static_cast<double>(m));
-    if (table.scan_cursor_ != std::min(target, m)) return std::nullopt;
+  // checkpoint that breaks them is corrupt.
+  if (!ClockStateHolds(config, num_cells, table.items_seen_,
+                       table.current_period_, table.scan_cursor_,
+                       table.last_time_)) {
+    return std::nullopt;
   }
   return table;
 }
@@ -946,38 +1182,36 @@ void Ltc::AuditAfterInsert(ItemId item) {
 }
 #endif  // LTC_AUDIT
 
-bool Ltc::CheckInvariants() const {
+bool Ltc::BucketHolds(ConstBucketView bucket, uint32_t b,
+                      uint64_t cap) const {
   const uint8_t allowed = config_.deviation_eliminator ? 0x3 : 0x1;
-  for (uint32_t b = 0; b < num_buckets_; ++b) {
-    ConstBucketView bucket = table_.bucket(b);
-    const uint32_t d = bucket.size();
-    for (uint32_t i = 0; i < d; ++i) {
-      ConstCellRef cell = bucket.cell(i);
-      if (cell.flags() & ~allowed) return false;
-      if (cell.id() == 0) {
-        if (cell.freq() != 0 || cell.counter() != 0 || cell.flags() != 0) {
-          return false;
-        }
-      } else {
-        // Bucket integrity: every occupant must hash to the bucket it
-        // sits in, and appear there only once. Catches corrupt
-        // checkpoints at Deserialize time (which calls this) before any
-        // query trusts them.
-        if (BucketOf(cell.id()) != b) return false;
-        for (uint32_t j = i + 1; j < d; ++j) {
-          if (bucket.cell(j).id() == cell.id()) return false;
-        }
-        // Persistency can never exceed the number of periods touched so
-        // far — plus whatever history merged-in peers contributed. Under
-        // the basic single-flag scheme a period can be credited twice
-        // (the 2× deviation of §III-C), so the cap doubles.
-        uint64_t cap = current_period_ + 1 + merged_history_periods_;
-        if (!config_.deviation_eliminator) cap *= 2;
-        if (cell.counter() > cap) {
-          return false;
-        }
+  const uint32_t d = bucket.size();
+  for (uint32_t i = 0; i < d; ++i) {
+    ConstCellRef cell = bucket.cell(i);
+    if (cell.flags() & ~allowed) return false;
+    if (cell.id() == 0) {
+      if (cell.freq() != 0 || cell.counter() != 0 || cell.flags() != 0) {
+        return false;
       }
+      continue;
     }
+    // Bucket integrity: every occupant must hash to the bucket it sits
+    // in, and appear there only once. Catches corrupt checkpoints at
+    // Deserialize time (which calls this) before any query trusts them.
+    if (BucketOf(cell.id()) != b) return false;
+    for (uint32_t j = i + 1; j < d; ++j) {
+      if (bucket.cell(j).id() == cell.id()) return false;
+    }
+    if (cell.counter() > cap) return false;
+  }
+  return true;
+}
+
+bool Ltc::CheckInvariants() const {
+  const uint64_t cap =
+      CounterCap(config_, current_period_, merged_history_periods_);
+  for (uint32_t b = 0; b < num_buckets_; ++b) {
+    if (!BucketHolds(table_.bucket(b), b, cap)) return false;
   }
   return scan_cursor_ <= table_.num_cells();
 }

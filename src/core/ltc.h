@@ -38,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/serial.h"
@@ -252,6 +253,27 @@ class Ltc final : public SignificanceEstimator {
   /// aggregation tier surfaces as a typed response, never UB.
   [[nodiscard]] bool MergeFrom(const Ltc& other);
 
+  /// A 256-bit filter of the IDs in one bucket: bit = top byte of a
+  /// multiplicative hash of the ID. A clear bit proves an ID absent.
+  struct IdSketch {
+    uint64_t words[4] = {};
+
+    static uint32_t BitOf(ItemId id) {
+      return static_cast<uint32_t>(id * uint64_t{0x9E3779B97F4A7C15} >> 56);
+    }
+    void Add(ItemId id) {
+      const uint32_t bit = BitOf(id);
+      words[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    void Add(const IdSketch& other) {
+      for (int w = 0; w < 4; ++w) words[w] |= other.words[w];
+    }
+    bool MayHold(ItemId id) const {
+      const uint32_t bit = BitOf(id);
+      return (words[bit >> 6] >> (bit & 63)) & 1;
+    }
+  };
+
   /// Writes the rank order of each listed bucket into `rank`, a lane of
   /// num_cells() entries laid out like the table (bucket b's entries at
   /// [b·d, (b+1)·d)): the bucket's cell indices, occupied cells best
@@ -259,15 +281,42 @@ class Ltc final : public SignificanceEstimator {
   /// listed bucket's entries must be zeros (a new lane) or what an
   /// earlier call left there; re-ranking sorts from that earlier order,
   /// so a bucket that barely changed costs about d compares. The
-  /// entries of unlisted buckets are left as they are.
-  void RankBuckets(std::span<const uint32_t> buckets,
-                   std::span<uint32_t> rank) const;
+  /// entries of unlisted buckets are left as they are. When `sketches`
+  /// is not empty (one entry per bucket), each listed bucket's entry is
+  /// rewritten as the IdSketch of its occupants.
+  void RankBuckets(std::span<const uint32_t> buckets, std::span<uint32_t> rank,
+                   std::span<IdSketch> sketches = {}) const;
 
   /// One input of RefoldBuckets: a table and its rank lane, which
-  /// RankBuckets has brought up to date for every bucket.
+  /// RankBuckets has brought up to date for every bucket. The two-way
+  /// path (FoldState) also needs the source's per-bucket IdSketches,
+  /// kept current the same way, and a slot no other source has.
   struct RankedSource {
     const Ltc* table;
     std::span<const uint32_t> rank;
+    std::span<const IdSketch> sketches = {};
+    uint8_t slot = 0;
+  };
+
+  /// Buckets refolded per path, summed over RefoldBuckets calls.
+  struct RefoldPaths {
+    uint64_t two_way = 0;   // the pushing source's run against the rest
+    uint64_t n_way = 0;     // every source's ranked run
+    uint64_t stepwise = 0;  // MergeFrom's steps: a shared ID
+  };
+
+  /// What the fold remembers between RefoldBuckets calls so that a
+  /// bucket changed by one source refolds against that source alone.
+  /// `disjoint[b]` is set when no ID occupies bucket b in two sources;
+  /// then `tags` names, for each occupied cell of the bucket, the slot
+  /// of the source the cell came from. A fresh state belongs to an
+  /// empty fold: every bucket disjoint, no cell to tag.
+  struct FoldState {
+    explicit FoldState(const Ltc& fold)
+        : disjoint(fold.num_buckets(), 1), tags(fold.num_cells(), 0) {}
+    std::vector<uint8_t> disjoint;  // one per bucket
+    std::vector<uint8_t> tags;      // one per cell of the fold
+    RefoldPaths paths;
   };
 
   /// The aggregation tier's incremental fold (server/aggregator.h).
@@ -275,25 +324,66 @@ class Ltc final : public SignificanceEstimator {
   /// MergeFrom over a list of tables that differs from `sources` only in
   /// the cells of `buckets`. Afterwards it equals the fold over
   /// `sources`, byte for byte: MergeFrom is bucket-local, so each listed
-  /// bucket is refolded from empty across every source in order, the
-  /// rest are already right, and the table scalars MergeFrom accumulates
-  /// (period, merged history) are recomputed from all sources.
+  /// bucket is refolded across every source, the rest are already
+  /// right, and the table scalars MergeFrom accumulates (period, merged
+  /// history) are recomputed from all sources.
   ///
   /// A listed bucket whose sources hold no ID in common, which is every
   /// bucket when the sources saw disjoint items, is the top d of all
-  /// their occupants: an N-way merge of the sources' ranked runs (their
-  /// rank lanes, 4 bytes per cell) writes it straight into the bucket.
-  /// A 256-bit ID sketch, then an exact compare, finds the shared IDs.
-  /// A bucket with one takes MergeFrom's own steps, source by source;
-  /// a step adds the matching fields and re-ranks every cell. Returns
-  /// the number of steps that added a shared ID, as MergeFrom would
-  /// have met them. Every source must satisfy CanMergeWith(*this).
+  /// their occupants, in an order no source order changes. It is written
+  /// straight into the bucket by one of two merges of ranked runs:
+  ///
+  ///  * two-way, when `state` is given and the bucket was disjoint: the
+  ///    list differed only in source `pusher`, whose IDs are checked
+  ///    against the other sources' IdSketches (an exact probe on a
+  ///    hit). The old bucket less the pusher's tagged cells is merged
+  ///    with the pusher's run. The result stands when the pusher is
+  ///    the only source, when the old bucket was not full, or when its
+  ///    new d-th cell ranks at or before the old d-th: every other
+  ///    source's cell the old bucket left out ranks after the old d-th,
+  ///    so none of them can enter. Else:
+  ///  * N-way, over every source's run; a 256-bit sketch of the IDs,
+  ///    then an exact compare, finds the shared IDs first unless the
+  ///    two-way check already ruled them out.
+  ///
+  /// A bucket with a shared ID takes MergeFrom's own steps, source by
+  /// source; a step adds the matching fields and re-ranks every cell.
+  /// Returns the number of steps that added a shared ID, as MergeFrom
+  /// would have met them. With `state`, the pusher's run is used only
+  /// if `state` is what the previous call over the old list left, and
+  /// the call counts its buckets per path into state->paths. Every
+  /// source must satisfy CanMergeWith(*this).
   uint64_t RefoldBuckets(std::span<const RankedSource> sources,
-                         std::span<const uint32_t> buckets);
+                         std::span<const uint32_t> buckets,
+                         FoldState* state = nullptr, size_t pusher = 0);
 
   /// The buckets whose cells differ, lane by lane, between this table
   /// and `other`, ascending. `other` must satisfy CanMergeWith(*this).
   std::vector<uint32_t> ChangedBuckets(const Ltc& other) const;
+
+  /// What UpdateFromImage did with an image.
+  enum class ImageUpdate {
+    kUpdated,    // applied; `changed` lists the buckets that moved
+    kCorrupt,    // same header, but Deserialize would reject the image
+    kNewHeader,  // the image's config bytes differ: use Deserialize
+  };
+
+  /// Makes this table equal to Deserialize(image), in place, when the
+  /// image (a Serialize output) carries this table's exact header: the
+  /// same format version and config bytes. The image's lanes are diffed
+  /// against the table bucket by bucket, and every check Deserialize
+  /// (with AtEnd) runs is run on the new scalars and on each changed
+  /// bucket; unchanged buckets passed them when they were written, so
+  /// only a lower counter cap makes them be checked again. Only when
+  /// every check passes are the changed buckets and the scalars copied
+  /// in; kCorrupt leaves the table untouched. Lanes are read with
+  /// memcpy: in a network frame they start at any offset. `changed`
+  /// receives the buckets that differed, ascending.
+  ImageUpdate UpdateFromImage(std::string_view image,
+                              std::vector<uint32_t>& changed);
+
+  /// Exact size of Serialize's output for this table.
+  size_t SerializedBytes() const;
 
 #ifdef LTC_AUDIT
   /// Attaches a ground-truth oracle for the after-insert audit hook (see
@@ -386,11 +476,13 @@ class Ltc final : public SignificanceEstimator {
     into.set_flags(from.flags);
   }
 
-  /// Working space of the merge kernel, allocated once per fold.
+  /// Working space of the merge kernels, allocated once per fold.
   struct MergeScratch {
-    explicit MergeScratch(uint32_t d) : cells(2 * size_t{d}), order(d) {}
+    explicit MergeScratch(uint32_t d)
+        : cells(2 * size_t{d}), order(d), tags(2 * size_t{d}) {}
     std::vector<MergeCell> cells;  // my d cells, then their unmatched
     std::vector<uint32_t> order;   // ranked indices into cells, best first
+    std::vector<uint8_t> tags;     // source slot of each of `cells`
   };
 
   /// MergeFrom's kernel, one bucket: folds `theirs` into `mine`.
@@ -400,11 +492,47 @@ class Ltc final : public SignificanceEstimator {
   bool MergeBucket(BucketView mine, ConstBucketView theirs,
                    MergeScratch& scratch) const;
 
-  /// Whether some ID occupies bucket b in two of `sources`. When not,
-  /// `occupied` (one entry per source) receives each source's occupant
-  /// count in the bucket.
-  bool SourcesShareAnId(std::span<const RankedSource> sources, uint32_t b,
-                        std::span<uint32_t> occupied) const;
+  /// Whether some ID occupies bucket b in two of `sources`.
+  bool SourcesShareAnId(std::span<const RankedSource> sources,
+                        uint32_t b) const;
+
+  /// Whether some ID of sources[pusher]'s bucket b occupies bucket b in
+  /// another source, judged through the sources' IdSketches.
+  static bool PusherSharesAnId(std::span<const RankedSource> sources,
+                               size_t pusher, uint32_t b);
+
+  /// RefoldBuckets' two-way path for bucket b (see there): false, with
+  /// the bucket untouched, when the cutoff test fails. `alone`: the
+  /// pusher is the only source, so no cutoff test is needed.
+  bool RefoldAgainstPusher(const RankedSource& pusher, bool alone, uint32_t b,
+                           FoldState& state, MergeScratch& scratch);
+
+  /// RefoldBuckets' N-way path: bucket b becomes the top d of the
+  /// sources' ranked runs. `tags` (null, or bucket b's d tags) receives
+  /// each kept cell's source slot. `heads` and `taken` are scratch with
+  /// one entry per source.
+  void RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
+                        std::span<MergeCell> heads, std::span<uint32_t> taken,
+                        uint8_t* tags);
+
+  /// The counter cap CheckInvariants enforces, for a table with these
+  /// scalars: counter <= elapsed periods + merged history (doubled
+  /// under the single-flag scheme), in wrapping u64 arithmetic.
+  static uint64_t CounterCap(const LtcConfig& config, uint64_t period,
+                             uint64_t merged_history_periods);
+
+  /// CheckInvariants for one bucket b, whose cells `bucket` holds.
+  bool BucketHolds(ConstBucketView bucket, uint32_t b, uint64_t cap) const;
+
+  /// Deserialize's clock-state consistency check: the pacing relations
+  /// the clock advance maintains hold for these scalars in a table of
+  /// `m` cells.
+  static bool ClockStateHolds(const LtcConfig& config, uint64_t m,
+                              uint64_t items_seen, uint64_t period,
+                              uint64_t scan_cursor, double last_time);
+
+  /// Serialize's leading bytes: magic, format version and config.
+  void SerializeHeader(BinaryWriter& writer) const;
 
   /// The table-scalar half of MergeFrom: period and merged history.
   void MergeScalarsFrom(const Ltc& other);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/serial.h"
@@ -17,7 +18,8 @@ AggregatorCore::AggregatorCore(const LtcConfig& config, ReadSnapshotHub* hub,
       hub_(hub),
       clock_(clock != nullptr ? clock : &SystemClock()),
       stale_after_sec_(stale_after_sec),
-      merged_(config) {}
+      merged_(config),
+      fold_state_(merged_) {}
 
 PushOutcome AggregatorCore::Reject(Status status, std::string detail) {
   rejects_total_++;
@@ -27,7 +29,7 @@ PushOutcome AggregatorCore::Reject(Status status, std::string detail) {
   return outcome;
 }
 
-PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
+PushOutcome AggregatorCore::ApplyPush(const PushView& push) {
   // Parents under the dispatcher's server.request span, which itself
   // carries the pusher's remote context — the cross-process link.
   telemetry::Span span("agg.merge");
@@ -63,36 +65,48 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
     }
   }
 
-  BinaryReader reader(push.payload);
-  std::optional<Ltc> table = Ltc::Deserialize(reader);
-  if (!table.has_value() || !reader.AtEnd()) {
+  // A known node's image with its table's header updates the table in
+  // place, checked, and names the buckets it changed. Anything else is
+  // deserialized whole and changes every bucket of the fold: a new
+  // node's, wherever its id sorts among the nodes already folded.
+  Ltc::ImageUpdate update = Ltc::ImageUpdate::kNewHeader;
+  if (it != nodes_.end()) {
+    update = it->second.sketch.UpdateFromImage(push.payload, changed_);
+  }
+  if (update == Ltc::ImageUpdate::kCorrupt) {
     return Reject(Status::kErrBadSketch, "sketch payload does not deserialize");
   }
-  if (!reference_.CanMergeWith(*table)) {
-    return Reject(Status::kErrShapeMismatch,
-                  "pushed sketch geometry/weights do not match the aggregate");
-  }
-
-  const uint64_t now = clock_->NowMicros();
-  std::vector<uint32_t> changed;
-  if (it == nodes_.end()) {
-    // A new node changes every bucket of the fold, wherever its id
-    // sorts among the nodes already folded.
-    changed.resize(reference_.num_buckets());
-    std::iota(changed.begin(), changed.end(), 0u);
-    it = nodes_.emplace(push.node_id, NodeState(std::move(*table))).first;
-  } else {
-    changed = it->second.sketch.ChangedBuckets(*table);
-    it->second.sketch = std::move(*table);
+  if (update == Ltc::ImageUpdate::kNewHeader) {
+    BinaryReader reader(push.payload);
+    std::optional<Ltc> table = Ltc::Deserialize(reader);
+    if (!table.has_value() || !reader.AtEnd()) {
+      return Reject(Status::kErrBadSketch,
+                    "sketch payload does not deserialize");
+    }
+    if (!reference_.CanMergeWith(*table)) {
+      return Reject(Status::kErrShapeMismatch,
+                    "pushed sketch geometry/weights do not match the "
+                    "aggregate");
+    }
+    changed_.resize(reference_.num_buckets());
+    std::iota(changed_.begin(), changed_.end(), 0u);
+    if (it == nodes_.end()) {
+      it = nodes_.emplace(push.node_id,
+                          NodeState(std::move(*table), nodes_.size()))
+               .first;
+    } else {
+      it->second.sketch = std::move(*table);
+    }
   }
   // An unchanged bucket has the same cells, so its rank still holds.
-  it->second.sketch.RankBuckets(changed, it->second.rank);
-  it->second.last_epoch = push.epoch_seq;
-  it->second.records = push.records;
-  it->second.last_push_usec = now;
+  NodeState& node = it->second;
+  node.sketch.RankBuckets(changed_, node.rank, node.ids);
+  node.last_epoch = push.epoch_seq;
+  node.records = push.records;
+  node.last_push_usec = clock_->NowMicros();
 
   merges_total_++;
-  RefoldAndPublish(changed);
+  RefoldAndPublish(push.node_id);
 
   PushOutcome outcome;
   outcome.status = Status::kOk;
@@ -101,20 +115,30 @@ PushOutcome AggregatorCore::ApplyPush(const PushRequest& push) {
   return outcome;
 }
 
-void AggregatorCore::RefoldAndPublish(std::span<const uint32_t> changed) {
+void AggregatorCore::RefoldAndPublish(uint64_t pusher_id) {
   telemetry::Span span("agg.republish");
   span.AddAttr("nodes", nodes_.size());
-  span.AddAttr("buckets", changed.size());
+  span.AddAttr("buckets", changed_.size());
   std::vector<Ltc::RankedSource> sources;
   sources.reserve(nodes_.size());
+  size_t pusher = 0;
   uint64_t records = 0;
   for (const auto& [node_id, node] : nodes_) {
-    sources.push_back({&node.sketch, node.rank});
+    if (node_id == pusher_id) pusher = sources.size();
+    sources.push_back({&node.sketch, node.rank, node.ids,
+                       static_cast<uint8_t>(node.slot)});
     records += node.records;
   }
-  // Shapes were checked at apply time, so every source can merge.
-  const uint64_t matched_steps = merged_.RefoldBuckets(sources, changed);
+  // Shapes were checked at apply time, so every source can merge. The
+  // tags name sources by a byte-wide slot: past 256 nodes, every bucket
+  // takes the N-way path.
+  Ltc::FoldState* state =
+      nodes_.size() <= kMaxTaggedNodes ? &fold_state_ : nullptr;
+  const uint64_t two_way = fold_state_.paths.two_way;
+  const uint64_t matched_steps =
+      merged_.RefoldBuckets(sources, changed_, state, pusher);
   span.AddAttr("matched_steps", matched_steps);
+  span.AddAttr("two_way", fold_state_.paths.two_way - two_way);
   has_merged_ = true;
   total_records_ = records;
   if (hub_ != nullptr) {

@@ -19,25 +19,44 @@
 //     tests/aggregation_chaos_test.cc).
 //
 // Cost: MergeFrom is bucket-local, so aggregate bucket b depends only on
-// each node's bucket b. An applied push therefore refolds, across every
-// node in order, only the buckets where the new image differs from the
-// node's previous one (all of them for a node's first push), and keeps
-// the rest of the persistent aggregate. The result is the same bytes a
-// full refold would give (pinned by tests/aggregation_test.cc).
+// each node's bucket b. An applied push therefore refolds only the
+// buckets where the new image differs from the node's previous one (all
+// of them for a node's first push), and keeps the rest of the
+// persistent aggregate. The result is the same bytes a full refold
+// would give (pinned by tests/aggregation_test.cc). A push pays for
+// what it changes, at three steps:
 //
-// Each node also keeps a rank lane: for every bucket, its cell indices
-// best first (Ltc::RankBuckets), 4 bytes per cell, so 32 KiB beside a
-// node's 136 KiB image at the 128 KiB, d = 8 shape. A push re-ranks
-// only the buckets it changed. The refold then writes each changed
-// bucket once, as the top d of an N-way merge of the nodes' ranked
-// runs. A bucket where two nodes hold the same item (substreams that
-// are not item-partitioned) takes MergeFrom's add-and-re-rank steps,
-// node by node, instead; the agg.republish span counts the steps that
-// added a shared item as matched_steps. Over loopback the merge work,
-// not the network hop, dominates a push: the refold, the deserialize
-// (its CheckInvariants hashes every occupant), the bucket diff and
-// rank, and the copy for the hub (ledgers in docs/PERF.md "Aggregator
-// push path" and "Per-cell loops").
+//   * The payload is read where the frame parser received it
+//     (PushView). An image with the node's header updates the node's
+//     table in place (Ltc::UpdateFromImage): its lanes are diffed
+//     against the table bucket by bucket, every Deserialize check runs
+//     on the new scalars and the changed buckets (on all of them if the
+//     counter cap fell), and only then are the changed buckets copied
+//     in. Any other image takes Deserialize whole.
+//   * The node's rank lane (its cell indices per bucket, best first,
+//     4 bytes per cell) and ID-sketch lane (Ltc::IdSketch, 32 bytes
+//     per bucket) are refreshed for the changed buckets only. At the
+//     128 KiB, d = 8 shape that is 32 KiB each beside a node's 136 KiB
+//     image.
+//   * The refold (Ltc::RefoldBuckets) writes each changed bucket once,
+//     as the top d of the nodes' ranked runs. The aggregate keeps, per
+//     bucket, whether its nodes hold disjoint IDs there, and per merged
+//     cell a 1-byte tag naming its node's slot (fixed at the node's
+//     first push; 8 KiB plus 1 KiB at this shape). A disjoint bucket
+//     refolds two-way: the old bucket less the pusher's tagged cells,
+//     merged with the pusher's run. That is exact when the old bucket
+//     was not full, or when the new d-th cell ranks at or before the
+//     old d-th: every other node's cell the old bucket left out ranks
+//     after the old d-th, so none of them can enter. Otherwise the
+//     bucket takes the N-way merge of every node's run. A bucket where
+//     two nodes hold the same item (substreams that are not
+//     item-partitioned) takes MergeFrom's add-and-re-rank steps, node by
+//     node; the agg.republish span counts the steps that added a shared
+//     item as matched_steps, and the buckets refolded two-way as
+//     two_way.
+//
+// Ledgers in docs/PERF.md "Aggregator push path", "Per-cell loops" and
+// "Incremental push apply".
 //
 // Epoch rules, per node: epoch_seq must be >= 1 and is compared against
 // the newest applied epoch. Newer → applied; equal → acknowledged as a
@@ -104,8 +123,9 @@ class AggregatorCore {
 
   /// Applies one decoded PUSH_SKETCH. Total: every input yields a typed
   /// outcome, never UB — a sketch that fails to deserialize or to merge
-  /// leaves the aggregate exactly as it was.
-  PushOutcome ApplyPush(const PushRequest& push);
+  /// leaves the aggregate exactly as it was. The payload is only read
+  /// during the call.
+  PushOutcome ApplyPush(const PushView& push);
 
   /// Per-node delivery state for STATS, in node_id order.
   std::vector<StatsNodeRow> NodeRows() const;
@@ -120,25 +140,37 @@ class AggregatorCore {
   uint64_t total_records() const { return total_records_; }
   size_t num_nodes() const { return nodes_.size(); }
   uint64_t stale_after_sec() const { return stale_after_sec_; }
+  /// Changed buckets refolded per path since construction.
+  const Ltc::RefoldPaths& refold_paths() const { return fold_state_.paths; }
 
  private:
+  // Tags are one byte: past this many nodes the refold goes N-way.
+  static constexpr size_t kMaxTaggedNodes = 256;
+
   struct NodeState {
     uint64_t last_epoch = 0;
     uint64_t records = 0;
     uint64_t last_push_usec = 0;
     Ltc sketch;
-    std::vector<uint32_t> rank;  // sketch's rank lane (Ltc::RankBuckets)
+    std::vector<uint32_t> rank;      // sketch's rank lane (RankBuckets)
+    std::vector<Ltc::IdSketch> ids;  // per bucket, refreshed with `rank`
+    size_t slot;  // the fold's tag for this node: its first-push order
 
-    explicit NodeState(Ltc s)
-        : sketch(std::move(s)), rank(sketch.num_cells()) {}
+    NodeState(Ltc s, size_t first_push_order)
+        : sketch(std::move(s)),
+          rank(sketch.num_cells()),
+          ids(sketch.num_buckets()),
+          slot(first_push_order) {}
   };
 
   PushOutcome Reject(Status status, std::string detail);
-  /// Refolds the `changed` buckets of merged_ across nodes_ and
-  /// publishes a copy. Per-push cost is O(nodes × changed buckets × d)
-  /// for the fold plus O(table) for the copy; the aggregate stays a
-  /// pure function of the node images (see file comment).
-  void RefoldAndPublish(std::span<const uint32_t> changed);
+  /// Refolds the changed_ buckets of merged_ across nodes_, against the
+  /// run of node `pusher_id` where it can, and publishes a copy.
+  /// Per-push cost is O(changed buckets × d) for a two-way fold, times
+  /// the node count for an N-way one, plus O(table) for the copy; the
+  /// aggregate stays a pure function of the node images (see file
+  /// comment).
+  void RefoldAndPublish(uint64_t pusher_id);
   uint64_t AgeSecOf(const NodeState& node, uint64_t now_usec) const;
 
   const LtcConfig config_;
@@ -149,6 +181,8 @@ class AggregatorCore {
 
   std::map<uint64_t, NodeState> nodes_;  // node_id order = fold order
   Ltc merged_;
+  Ltc::FoldState fold_state_;      // merged_'s disjoint bits and tags
+  std::vector<uint32_t> changed_;  // the buckets the applied push changed
   bool has_merged_ = false;
   uint64_t total_records_ = 0;
   uint64_t merges_total_ = 0;

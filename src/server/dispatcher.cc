@@ -189,7 +189,8 @@ std::string QueryDispatcher::HandlePush(std::string_view body) {
     return Error(Status::kErrNotAggregator,
                  "this server does not accept sketch pushes");
   }
-  std::optional<PushRequest> push = DecodePushRequestBody(body);
+  // The sketch payload stays where the frame parser put it.
+  std::optional<PushView> push = DecodePushRequestBody(body);
   if (!push.has_value()) {
     return Error(Status::kErrMalformed,
                  "PUSH_SKETCH body truncated or inconsistent");

@@ -68,21 +68,36 @@ std::string EncodeFrame(std::string_view payload) {
 
 FrameParser::Head FrameParser::JudgeHead(uint32_t* length) const {
   if (oversized_) return Head::kOversized;
-  if (buffer_.size() < 4) return Head::kIncomplete;
-  std::memcpy(length, buffer_.data(), 4);
+  const size_t buffered = buffer_.size() - head_;
+  if (buffered < 4) return Head::kIncomplete;
+  std::memcpy(length, buffer_.data() + head_, 4);
   if (*length > max_frame_bytes_) {
     // Above the query cap: only a PUSH_SKETCH frame may be this large,
     // and only when the parser was configured with a push cap. The
     // opcode is payload byte 0 — wait for it before judging.
     if (*length > max_push_frame_bytes_) return Head::kOversized;
-    if (buffer_.size() < 5) return Head::kIncomplete;
-    if (static_cast<uint8_t>(buffer_[4]) !=
+    if (buffered < 5) return Head::kIncomplete;
+    if (static_cast<uint8_t>(buffer_[head_ + 4]) !=
         static_cast<uint8_t>(Opcode::kPushSketch)) {
       return Head::kOversized;
     }
   }
-  return buffer_.size() < 4 + static_cast<size_t>(*length) ? Head::kIncomplete
-                                                           : Head::kComplete;
+  return buffered < 4 + static_cast<size_t>(*length) ? Head::kIncomplete
+                                                     : Head::kComplete;
+}
+
+void FrameParser::Feed(std::string_view bytes) {
+  // Drop the frames already handed over. After a whole frame, the usual
+  // case, nothing is left and the buffer keeps its capacity.
+  buffer_.erase(0, head_);
+  head_ = 0;
+  buffer_.append(bytes);
+  uint32_t length = 0;
+  if (buffer_.size() > 4 && JudgeHead(&length) == Head::kIncomplete) {
+    // The head passed the caps (its opcode byte is in): room for the
+    // whole frame, once.
+    buffer_.reserve(4 + static_cast<size_t>(length));
+  }
 }
 
 bool FrameParser::HasFrame() const {
@@ -90,7 +105,7 @@ bool FrameParser::HasFrame() const {
   return JudgeHead(&length) != Head::kIncomplete;
 }
 
-std::optional<std::string> FrameParser::Next() {
+std::optional<std::string_view> FrameParser::NextView() {
   uint32_t length = 0;
   switch (JudgeHead(&length)) {
     case Head::kIncomplete:
@@ -101,9 +116,15 @@ std::optional<std::string> FrameParser::Next() {
     case Head::kComplete:
       break;
   }
-  std::string payload = buffer_.substr(4, length);
-  buffer_.erase(0, 4 + static_cast<size_t>(length));
+  const std::string_view payload(buffer_.data() + head_ + 4, length);
+  head_ += 4 + static_cast<size_t>(length);
   return payload;
+}
+
+std::optional<std::string> FrameParser::Next() {
+  const std::optional<std::string_view> payload = NextView();
+  if (!payload.has_value()) return std::nullopt;
+  return std::string(*payload);
 }
 
 namespace {
@@ -250,19 +271,49 @@ bool SplitTraceExt(Opcode opcode, std::string_view body,
   return true;
 }
 
+namespace {
+
+void PutPushRequestHead(std::string& out, const PushHeader& header,
+                        uint32_t payload_len) {
+  out.push_back(static_cast<char>(Opcode::kPushSketch));
+  PutU64Raw(out, header.node_id);
+  PutU64Raw(out, header.epoch_seq);
+  out.push_back(static_cast<char>(header.sketch_kind));
+  PutU64Raw(out, header.records);
+  PutU32Raw(out, payload_len);
+}
+
+}  // namespace
+
 std::string EncodePushRequest(const PushRequest& push) {
-  std::string payload(1, static_cast<char>(Opcode::kPushSketch));
-  PutU64Raw(payload, push.node_id);
-  PutU64Raw(payload, push.epoch_seq);
-  payload.push_back(static_cast<char>(push.sketch_kind));
-  PutU64Raw(payload, push.records);
-  PutU32Raw(payload, static_cast<uint32_t>(push.payload.size()));
+  std::string payload;
+  payload.reserve(kPushRequestHeadBytes + push.payload.size());
+  PutPushRequestHead(payload, push,
+                     static_cast<uint32_t>(push.payload.size()));
   payload.append(push.payload);
   return payload;
 }
 
-std::optional<PushRequest> DecodePushRequestBody(std::string_view body) {
-  PushRequest push;
+void BeginPushFrame(const PushHeader& header, size_t payload_bytes,
+                    std::string* frame) {
+  frame->clear();
+  frame->reserve(4 + kPushRequestHeadBytes + payload_bytes + kTraceExtBytes);
+  frame->append(4, '\0');  // frame length, filled in by FinishPushFrame
+  PutPushRequestHead(*frame, header, /*payload_len=*/0);
+}
+
+void FinishPushFrame(const std::optional<TraceContextExt>& ext,
+                     std::string* frame) {
+  const size_t head = 4 + kPushRequestHeadBytes;
+  const auto payload_len = static_cast<uint32_t>(frame->size() - head);
+  std::memcpy(frame->data() + head - 4, &payload_len, 4);
+  if (ext.has_value()) AppendTraceExt(frame, *ext);
+  const auto frame_len = static_cast<uint32_t>(frame->size() - 4);
+  std::memcpy(frame->data(), &frame_len, 4);
+}
+
+std::optional<PushView> DecodePushRequestBody(std::string_view body) {
+  PushView push;
   size_t pos = 0;
   if (!GetU64Raw(body, pos, &push.node_id)) return std::nullopt;
   if (!GetU64Raw(body, pos, &push.epoch_seq)) return std::nullopt;
@@ -275,7 +326,7 @@ std::optional<PushRequest> DecodePushRequestBody(std::string_view body) {
   // The explicit length must match the remaining bytes exactly: a
   // mismatch means a truncated or padded frame, not a sketch to trust.
   if (body.size() - pos != payload_len) return std::nullopt;
-  push.payload = std::string(body.substr(pos, payload_len));
+  push.payload = body.substr(pos, payload_len);
   return push;
 }
 

@@ -129,6 +129,10 @@ std::string EncodeFrame(std::string_view payload);
 /// the aggregator accepts multi-megabyte sketch pushes while query
 /// frames stay bounded at 64K. Deciding needs that first byte, so a
 /// large declared length parks the parser until it arrives.
+///
+/// Once a frame's head has passed those caps, the buffer reserves the
+/// whole frame, so a large push grows its buffer once rather than by
+/// doubling, and NextView hands a payload over in place.
 class FrameParser {
  public:
   explicit FrameParser(size_t max_frame_bytes = kMaxFrameBytes,
@@ -138,10 +142,15 @@ class FrameParser {
                                   ? max_push_frame_bytes
                                   : max_frame_bytes) {}
 
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
+  /// Appends stream bytes. Invalidates views NextView returned.
+  void Feed(std::string_view bytes);
 
   /// Extracts the next complete payload, or nullopt when more bytes are
-  /// needed (or the parser is poisoned).
+  /// needed (or the parser is poisoned). The view points into the
+  /// parser's buffer and stays valid until the next Feed.
+  std::optional<std::string_view> NextView();
+
+  /// NextView, copied out: for callers that keep the payload.
   std::optional<std::string> Next();
 
   /// True once a declared frame length exceeded the maximum.
@@ -151,7 +160,7 @@ class FrameParser {
   /// buffered, or the head frame's length already breaks the caps.
   bool HasFrame() const;
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - head_; }
 
  private:
   enum class Head { kIncomplete, kComplete, kOversized };
@@ -159,6 +168,7 @@ class FrameParser {
   Head JudgeHead(uint32_t* length) const;
 
   std::string buffer_;
+  size_t head_ = 0;  // offset of the head frame; bytes before it are spent
   size_t max_frame_bytes_;
   size_t max_push_frame_bytes_;
   bool oversized_ = false;
@@ -208,22 +218,54 @@ std::string EncodeEstimateRequest(Opcode opcode, std::string_view key);
 std::string EncodeStatsRequest();
 std::string EncodeDumpTraceRequest();
 
-/// One PUSH_SKETCH request: a node's flush-barrier sketch image plus
-/// the delivery metadata the aggregator dedups on.
-struct PushRequest {
+/// The delivery metadata of a PUSH_SKETCH, which the aggregator dedups
+/// on, ahead of the sketch payload.
+struct PushHeader {
   uint64_t node_id = 0;    // stable identity of the pushing node
   uint64_t epoch_seq = 0;  // 1-based, strictly increasing per node
   uint8_t sketch_kind = kSketchKindLtc;
   uint64_t records = 0;    // stream records applied at the push barrier
+};
+
+/// One PUSH_SKETCH request: a node's flush-barrier sketch image plus
+/// its delivery metadata.
+struct PushRequest : PushHeader {
   std::string payload;     // serialized sketch (Ltc::Serialize bytes)
 };
 
+/// A PUSH_SKETCH whose payload is read where it lies — in a received
+/// frame, or in a PushRequest — so the sketch is never copied on its
+/// way to the aggregator. Valid only while those bytes are.
+struct PushView : PushHeader {
+  PushView() = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): a view of the request.
+  PushView(const PushRequest& push) : PushHeader(push), payload(push.payload) {}
+
+  std::string_view payload;
+};
+
+/// Bytes of a PUSH_SKETCH request ahead of its sketch payload: opcode,
+/// node_id, epoch_seq, sketch kind, records, payload_len.
+constexpr size_t kPushRequestHeadBytes = 1 + 8 + 8 + 1 + 8 + 4;
+
 std::string EncodePushRequest(const PushRequest& push);
 
-/// Decodes a PUSH_SKETCH request BODY (the bytes after the opcode).
-/// nullopt = truncated, trailing bytes, or an inconsistent payload
-/// length (answered with kErrMalformed by the dispatcher).
-std::optional<PushRequest> DecodePushRequestBody(std::string_view body);
+/// One-copy push frames, the same bytes as EncodeFrame of
+/// EncodePushRequest (plus AppendTraceExt when `ext` is given):
+/// BeginPushFrame replaces `*frame` with the frame prefix and request
+/// head, reserving room for `payload_bytes` more; the caller appends
+/// the sketch payload; FinishPushFrame appends the extension and fills
+/// in the two lengths.
+void BeginPushFrame(const PushHeader& header, size_t payload_bytes,
+                    std::string* frame);
+void FinishPushFrame(const std::optional<TraceContextExt>& ext,
+                     std::string* frame);
+
+/// Decodes a PUSH_SKETCH request BODY (the bytes after the opcode); the
+/// payload points into `body`. nullopt = truncated, trailing bytes, or
+/// an inconsistent payload length (answered with kErrMalformed by the
+/// dispatcher).
+std::optional<PushView> DecodePushRequestBody(std::string_view body);
 
 // --- Responses -------------------------------------------------------
 

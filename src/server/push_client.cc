@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <utility>
 
 #include "common/serial.h"
 #include "telemetry/trace.h"
@@ -161,32 +163,27 @@ void SketchPusher::Collect(telemetry::MetricsRegistry& registry) const {
 
 SketchPusher::Result SketchPusher::Push(const Ltc& table, uint64_t epoch_seq,
                                         uint64_t records) {
-  BinaryWriter writer;
+  PushHeader header;
+  header.node_id = config_.node_id;
+  header.epoch_seq = epoch_seq;
+  header.sketch_kind = kSketchKindLtc;
+  header.records = records;
+  BeginPushFrame(header, table.SerializedBytes(), &frame_);
+  BinaryWriter writer(std::move(frame_));
   table.Serialize(writer);
-  return PushSerialized(writer.data(), epoch_seq, records);
-}
-
-SketchPusher::Result SketchPusher::PushSerialized(std::string_view sketch_bytes,
-                                                  uint64_t epoch_seq,
-                                                  uint64_t records) {
-  PushRequest request;
-  request.node_id = config_.node_id;
-  request.epoch_seq = epoch_seq;
-  request.sketch_kind = kSketchKindLtc;
-  request.records = records;
-  request.payload = std::string(sketch_bytes);
+  frame_ = writer.Release();
 
   // The delivery span covers the whole retry schedule; each attempt is
   // a child, so a retry storm is visible as a fan of attempt spans.
   telemetry::Span deliver_span("push.deliver");
   deliver_span.AddAttr("node", config_.node_id);
   deliver_span.AddAttr("epoch", epoch_seq);
-  std::string payload = EncodePushRequest(request);
+  std::optional<TraceContextExt> ext;
   if (config_.propagate_trace && deliver_span.recording()) {
     const telemetry::TraceContext ctx = deliver_span.context();
-    AppendTraceExt(&payload, {ctx.trace_id, ctx.span_id});
+    ext = TraceContextExt{ctx.trace_id, ctx.span_id};
   }
-  const std::string frame = EncodeFrame(payload);
+  FinishPushFrame(ext, &frame_);
 
   Result result;
   const bool delivered = RetryWithBackoff(
@@ -195,7 +192,7 @@ SketchPusher::Result SketchPusher::PushSerialized(std::string_view sketch_bytes,
         attempts_++;
         telemetry::Span attempt_span("push.attempt");
         attempt_span.AddAttr("attempt", attempts_);
-        if (Attempt(frame, &result)) return true;
+        if (Attempt(frame_, &result)) return true;
         // Whatever broke, the stream state is unknowable: reconnect.
         transport_->Close();
         return false;

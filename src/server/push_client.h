@@ -137,12 +137,9 @@ class SketchPusher {
 
   /// Pushes `table` (finalized — Finalize the clone first) as epoch
   /// `epoch_seq`, blocking through the retry schedule. `records` is the
-  /// stream position at the table's barrier.
+  /// stream position at the table's barrier. The table is serialized
+  /// straight into the frame, which every attempt re-sends.
   Result Push(const Ltc& table, uint64_t epoch_seq, uint64_t records);
-
-  /// Pushes pre-serialized sketch bytes (the corruption-sweep hook).
-  Result PushSerialized(std::string_view sketch_bytes, uint64_t epoch_seq,
-                        uint64_t records);
 
   uint64_t attempts() const { return attempts_; }
   uint64_t retries() const { return retries_; }
@@ -157,6 +154,7 @@ class SketchPusher {
   SketchPusherConfig config_;
   PushTransport* transport_;
   Clock* clock_;
+  std::string frame_;  // the push being delivered; capacity kept
 
   uint64_t attempts_ = 0;
   uint64_t retries_ = 0;

@@ -232,7 +232,8 @@ bool QueryServer::HandleReadable(Conn& conn) {
   }
 
   while (true) {
-    std::optional<std::string> payload = conn.parser.Next();
+    // In place: the payload is dispatched before the next Feed.
+    const std::optional<std::string_view> payload = conn.parser.NextView();
     if (!payload.has_value()) break;
     const uint64_t t0 = NowMicros();
     const std::string response = dispatcher_.Handle(*payload);

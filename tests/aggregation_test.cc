@@ -2,10 +2,12 @@
 // PUSH_SKETCH wire goldens, the push-only frame-cap raise, the
 // AggregatorCore's idempotent-merge semantics (duplicates, stale
 // epochs, reorderings — all bit-identical), typed rejection of every
-// malformed push (corruption sweep included), FakeClock staleness
-// rows, dispatcher integration, and the SketchPusher's retry loop
-// driven against an in-process loopback transport under injected
-// faults. The socket-level storm lives in tests/aggregation_chaos_test.
+// malformed push (corruption sweep included, and a differential sweep
+// of the in-place apply against the full Deserialize path), each
+// refold path against the MergeFrom fold, FakeClock staleness rows,
+// dispatcher integration, the exact frame SketchPusher sends, and its
+// retry loop driven against an in-process loopback transport under
+// injected faults. The socket-level storm lives in tests/aggregation_chaos_test.
 //
 // The tier's central claim mirrors the protocol's totality claim: for
 // EVERY push a client can send — duplicated, reordered, truncated,
@@ -18,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "server/key_codec.h"
 #include "server/protocol.h"
 #include "server/push_client.h"
+#include "telemetry/trace.h"
 #include "testing/faulty_transport.h"
 
 namespace ltc {
@@ -359,6 +363,120 @@ TEST(Aggregator, CorruptionSweepNeverCrashesAndRejectionsNeverMutate) {
   EXPECT_EQ(applied + rejected, valid.size());
 }
 
+/// The verdict of the full apply path on an image: Deserialize, then
+/// AtEnd, then CanMergeWith a table of `config`.
+Status FullPathVerdict(const LtcConfig& config, const std::string& image) {
+  BinaryReader reader(image);
+  const std::optional<Ltc> table = Ltc::Deserialize(reader);
+  if (!table.has_value() || !reader.AtEnd()) return Status::kErrBadSketch;
+  if (!Ltc(config).CanMergeWith(*table)) return Status::kErrShapeMismatch;
+  return Status::kOk;
+}
+
+/// An aggregator holding node 1's `first` and node 2's `base`, both as
+/// epoch 1.
+std::unique_ptr<AggregatorCore> HoldingImages(const LtcConfig& config,
+                                              const std::string& first,
+                                              const std::string& base) {
+  auto aggregator = std::make_unique<AggregatorCore>(config, nullptr);
+  PushRequest push;
+  push.epoch_seq = 1;
+  push.node_id = 1;
+  push.payload = first;
+  EXPECT_TRUE(aggregator->ApplyPush(push).applied);
+  push.node_id = 2;
+  push.payload = base;
+  EXPECT_TRUE(aggregator->ApplyPush(push).applied);
+  return aggregator;
+}
+
+TEST(Aggregator, InPlaceApplyJudgesEveryFlippedByteLikeTheFullPath) {
+  const LtcConfig config = SmallConfig();
+  const std::string first = SerializeTable(MakeSketch(config, {1, 2, 3}, 4));
+  // Node 2's applied image, then its next one: more of some items, so
+  // some buckets change and the rest do not.
+  Ltc live(config);
+  for (int r = 0; r < 300; ++r) live.Insert(100 + r % 90);
+  Ltc image = live.CloneAtBarrier();
+  image.Finalize();
+  const std::string base = SerializeTable(image);
+  for (int r = 0; r < 40; ++r) live.Insert(100 + r % 7);
+  image = live.CloneAtBarrier();
+  image.Finalize();
+  const std::string next = SerializeTable(image);
+  ASSERT_EQ(next.size(), base.size());
+  ASSERT_NE(next, base);
+  {
+    // Unflipped, the in-place apply lands on Deserialize's table and
+    // names the buckets ChangedBuckets names.
+    BinaryReader base_reader(base);
+    Ltc held = *Ltc::Deserialize(base_reader);
+    const Ltc before = held;
+    std::vector<uint32_t> changed;
+    ASSERT_EQ(held.UpdateFromImage(next, changed), Ltc::ImageUpdate::kUpdated);
+    EXPECT_EQ(SerializeTable(held), next);
+    EXPECT_EQ(changed, before.ChangedBuckets(held));
+    EXPECT_FALSE(changed.empty());
+    EXPECT_LT(changed.size(), held.num_buckets());
+  }
+
+  const std::string held = HoldingImages(config, first, base)->SerializeMerged();
+  uint64_t applied = 0, rejected = 0;
+  for (size_t offset = 0; offset < next.size(); ++offset) {
+    PushRequest push;
+    push.node_id = 2;
+    push.epoch_seq = 2;
+    push.payload = next;
+    push.payload[offset] = static_cast<char>(push.payload[offset] ^ 0xff);
+    const Status expected = FullPathVerdict(config, push.payload);
+    auto aggregator = HoldingImages(config, first, base);
+    const PushOutcome outcome = aggregator->ApplyPush(push);
+    ASSERT_EQ(outcome.status, expected)
+        << "offset " << offset << ": " << StatusName(outcome.status)
+        << ", the full path says " << StatusName(expected);
+    if (expected == Status::kOk) {
+      // Equal to an aggregator that only ever saw the newest images.
+      const std::string fresh =
+          HoldingImages(config, first, push.payload)->SerializeMerged();
+      ASSERT_EQ(aggregator->SerializeMerged(), fresh) << "offset " << offset;
+      ++applied;
+    } else {
+      ASSERT_EQ(aggregator->SerializeMerged(), held) << "offset " << offset;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(applied, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Aggregator, InPlaceApplyRejectsALowerCapOverAnUnchangedCell) {
+  LtcConfig config = SmallConfig();
+  // Item 7 in each of six periods: persistency 6 under period 6.
+  Ltc live(config);
+  for (int r = 0; r < 600; ++r) live.Insert(r % 100 == 0 ? 7 : 1000 + r);
+  live.Finalize();
+  ASSERT_GE(live.EstimatePersistency(7), 2u);
+  ASSERT_GE(live.current_period(), 2u);
+  const std::string base = SerializeTable(live);
+  // The same image claiming period 0: the cap falls to 1 while item 7's
+  // bucket is unchanged. The v3 image opens with a 64-byte header, then
+  // items_seen, then current_period.
+  std::string lowered = base;
+  const uint64_t zero = 0;
+  std::memcpy(lowered.data() + 64 + 8, &zero, sizeof(zero));
+  ASSERT_EQ(FullPathVerdict(config, lowered), Status::kErrBadSketch);
+
+  const std::string first = SerializeTable(MakeSketch(config, {1, 2}, 3));
+  auto aggregator = HoldingImages(config, first, base);
+  const std::string held = aggregator->SerializeMerged();
+  PushRequest push;
+  push.node_id = 2;
+  push.epoch_seq = 2;
+  push.payload = lowered;
+  EXPECT_EQ(aggregator->ApplyPush(push).status, Status::kErrBadSketch);
+  EXPECT_EQ(aggregator->SerializeMerged(), held);
+}
+
 TEST(Aggregator, StalenessRowsAgeOnTheInjectedClock) {
   FakeClock clock;
   const LtcConfig config = SmallConfig();
@@ -571,6 +689,66 @@ TEST(Aggregator, ChangedBucketsNamesOnlyTheBucketsThatDiffer) {
   EXPECT_EQ(grown.ChangedBuckets(base), base.ChangedBuckets(grown));
 }
 
+TEST(Aggregator, RefoldPathsEachLeaveTheMergeFromFold) {
+  LtcConfig config = SmallConfig();
+  config.memory_bytes = 2 * 1024;  // 16 buckets of 8: full, churning
+  config.items_per_period = 40;
+  constexpr ItemId kShared = 77;
+  Rng rng(2024);
+  AggregatorCore aggregator(config, nullptr);
+  // Nodes join in descending id order, so each joins ahead of every
+  // node already folded and the nodes' places in the fold order shift.
+  const std::vector<uint64_t> ids = {12, 9, 5, 2};
+  std::map<uint64_t, Ltc> live;
+  std::map<uint64_t, Ltc> newest;
+  std::map<uint64_t, uint64_t> epoch;
+  std::set<uint64_t> saw_shared;
+  bool restarted = false, shared_gained = false, shared_lost = false;
+  for (int step = 0; step < 240; ++step) {
+    const size_t joined = std::min<size_t>(ids.size(), 1 + step / 12);
+    const uint64_t node = ids[rng.Uniform(joined)];
+    // Node 9 restarts empty late in the run, so the shared ID is gone
+    // from the fold by the end even if the churn kept it.
+    if (node == 9 && step >= 180 && !restarted) {
+      live.insert_or_assign(9, Ltc(config));
+      restarted = true;
+    }
+    Ltc& table = live.try_emplace(node, config).first->second;
+    for (uint64_t r = 0, n = rng.UniformRange(5, 60); r < n; ++r) {
+      // Item-partitioned, with a hot head whose counts rise and fall
+      // with the phase, so cells are decremented and expelled and a
+      // push's run can fall below cells the old bucket left out.
+      const bool hot = rng.Bernoulli((step / 30) % 2 == 0 ? 0.6 : 0.05);
+      const ItemId item = 1 + rng.Uniform(hot ? 6 : 400);
+      table.Insert(item * 16 + node);
+    }
+    // Nodes 12 and 9 each see one item in one push: its bucket gains a
+    // shared ID, then loses it as the churn expels the item.
+    if ((node == 12 || node == 9) && step >= 40 &&
+        saw_shared.insert(node).second) {
+      for (int r = 0; r < 3; ++r) table.Insert(kShared);
+    }
+    Ltc image = table.CloneAtBarrier();
+    image.Finalize();
+    PushRequest push = MakePush(node, ++epoch[node], image);
+    ASSERT_TRUE(aggregator.ApplyPush(push).applied) << "step " << step;
+    newest.insert_or_assign(node, std::move(image));
+    ASSERT_EQ(aggregator.SerializeMerged(), FullFold(config, newest))
+        << "step " << step << " node " << node;
+    const bool both = newest.count(12) != 0 && newest.count(9) != 0 &&
+                      newest.at(12).IsTracked(kShared) &&
+                      newest.at(9).IsTracked(kShared);
+    shared_gained |= both;
+    shared_lost |= shared_gained && !both;
+  }
+  EXPECT_TRUE(shared_gained);
+  EXPECT_TRUE(shared_lost);
+  const Ltc::RefoldPaths& paths = aggregator.refold_paths();
+  EXPECT_GT(paths.two_way, 0u);
+  EXPECT_GT(paths.n_way, 0u);
+  EXPECT_GT(paths.stepwise, 0u);
+}
+
 // --- Dispatcher integration ------------------------------------------
 
 struct DispatcherFixture {
@@ -668,6 +846,14 @@ class LoopbackTransport final : public PushTransport {
 
   bool Send(std::string_view bytes, uint64_t) override {
     if (!connected_) return false;
+    std::string garbled;
+    if (corrupt_next_sketch_ && bytes.size() > 4 + kPushRequestHeadBytes) {
+      // Flip the first byte of the sketch's magic: it cannot deserialize.
+      garbled = bytes;
+      garbled[4 + kPushRequestHeadBytes] ^= 0xff;
+      bytes = garbled;
+      corrupt_next_sketch_ = false;
+    }
     parser_.Feed(bytes);
     while (auto payload = parser_.Next()) {
       out_ += EncodeFrame(dispatcher_->Handle(*payload));
@@ -691,11 +877,15 @@ class LoopbackTransport final : public PushTransport {
 
   bool connected() const override { return connected_; }
 
+  /// Garbles the sketch payload of the next push frame sent whole.
+  void CorruptNextSketch() { corrupt_next_sketch_ = true; }
+
  private:
   QueryDispatcher* dispatcher_;
   FrameParser parser_;
   std::string out_;
   bool connected_ = false;
+  bool corrupt_next_sketch_ = false;
 };
 
 struct PusherFixture {
@@ -774,11 +964,83 @@ TEST(SketchPusher, TypedRejectionIsTerminalAndStopsTheRetryLoop) {
   EXPECT_EQ(fx.pusher->rejected(), 1u);
 
   // Undeserializable bytes are equally terminal.
-  result = fx.pusher->PushSerialized("not a sketch", 2, 1);
+  fx.loopback.CorruptNextSketch();
+  result = fx.pusher->Push(MakeSketch(SmallConfig(), {1}), 2, 1);
   EXPECT_TRUE(result.terminal);
   EXPECT_EQ(result.status, Status::kErrBadSketch);
   EXPECT_EQ(fx.pusher->attempts(), 2u);
   EXPECT_EQ(fx.aggregator.merges_total(), 0u);
+}
+
+/// A PushTransport that keeps every byte string sent and acks each
+/// send as an applied push.
+class RecordingTransport final : public PushTransport {
+ public:
+  bool Connect(const std::string&, uint16_t, uint64_t) override {
+    connected_ = true;
+    return true;
+  }
+  bool Send(std::string_view bytes, uint64_t) override {
+    sent.emplace_back(bytes);
+    acks_ += EncodeFrame(EncodePushResponse(1, true));
+    return true;
+  }
+  bool Recv(std::string* out, size_t, uint64_t) override {
+    if (acks_.empty()) return false;
+    out->append(acks_);
+    acks_.clear();
+    return true;
+  }
+  void Close() override { connected_ = false; }
+  bool connected() const override { return connected_; }
+
+  std::vector<std::string> sent;
+
+ private:
+  std::string acks_;
+  bool connected_ = false;
+};
+
+TEST(SketchPusher, SendsExactlyTheEncodedPushRequestFrame) {
+#ifdef LTC_TRACING
+  constexpr bool kTracing = true;
+#else
+  constexpr bool kTracing = false;
+#endif
+  for (const bool propagate : {false, true}) {
+    SCOPED_TRACE(propagate ? "trace propagation on" : "trace propagation off");
+    telemetry::FlightRecorder recorder;
+    telemetry::FlightRecorder::Install(&recorder);
+    RecordingTransport transport;
+    SketchPusherConfig config;
+    config.node_id = 0x0102030405060708;
+    config.propagate_trace = propagate;
+    SketchPusher pusher(config, &transport);
+    const Ltc table = MakeSketch(SmallConfig(), {4, 5, 6}, 7);
+    const auto result = pusher.Push(table, 11, 21);
+    telemetry::FlightRecorder::Install(nullptr);
+    ASSERT_TRUE(result.delivered);
+    ASSERT_EQ(transport.sent.size(), 1u);
+    const std::string& frame = transport.sent[0];
+
+    PushRequest request = MakePush(config.node_id, 11, table, 21);
+    std::string expected = EncodePushRequest(request);
+    if (propagate && kTracing) {
+      // The ids are the push.deliver span's: read them back, and pin
+      // where and how they are written.
+      std::string_view base;
+      std::optional<TraceContextExt> ext;
+      ASSERT_GT(frame.size(), 5u);
+      ASSERT_TRUE(SplitTraceExt(Opcode::kPushSketch,
+                                std::string_view(frame).substr(5), &base,
+                                &ext));
+      ASSERT_TRUE(ext.has_value());
+      EXPECT_NE(ext->trace_id, 0u);
+      EXPECT_NE(ext->span_id, 0u);
+      AppendTraceExt(&expected, *ext);
+    }
+    EXPECT_EQ(frame, EncodeFrame(expected));
+  }
 }
 
 TEST(SketchPusher, GivesUpAfterTheRetryBudgetAgainstADeadAggregator) {
