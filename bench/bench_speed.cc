@@ -13,6 +13,9 @@
 //  * BM_LtcInsertSweep at 250/2000 items per period — inserts at the
 //    aggregator nodes' shape, where the CLOCK sweep dominates
 //    (docs/PERF.md "Per-cell loops");
+//  * BM_LtcInsertPieces at 64/512-record pieces — inserts at the
+//    ingest_zipf shard shape, fed in the pieces a pipeline worker
+//    applies (docs/PERF.md "Sweep in strides");
 //  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
 //    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
 //    pipeline with and without per-shard metrics sinks;
@@ -243,6 +246,40 @@ BENCHMARK(BM_LtcInsertSweep)
     ->ArgName("items_per_period")
     ->Arg(250)
     ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+// Inserts at the ingest_zipf shard shape (128 KiB, d = 8, 2000 items
+// per period) with a metrics sink attached, fed in pieces of the given
+// length, one fresh table per iteration. 64 is the pipeline worker's
+// progress chunk: a piece ends the deferred CLOCK sweep's stride, so
+// the piece length caps the cells each sweep call covers.
+void BM_LtcInsertPieces(benchmark::State& state) {
+#ifndef LTC_METRICS
+  state.SkipWithError("built with LTC_METRICS=OFF");
+  return;
+#else
+  const std::span<const Record> records(SharedStream().records());
+  const auto piece = static_cast<size_t>(state.range(0));
+  LtcConfig config;
+  config.memory_bytes = 128 * 1024;
+  config.items_per_period = 2000;
+  for (auto _ : state) {
+    Ltc table(config);
+    LtcMetricsSink sink;
+    table.AttachMetricsSink(&sink);
+    for (size_t off = 0; off < records.size(); off += piece) {
+      table.InsertBatch(
+          records.subspan(off, std::min(piece, records.size() - off)));
+    }
+    benchmark::DoNotOptimize(sink.clock_steps);
+  }
+  SetRecordsProcessed(state, SharedStream());
+#endif
+}
+BENCHMARK(BM_LtcInsertPieces)
+    ->ArgName("piece")
+    ->Arg(64)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 // Sequential ShardedLtc vs IngestPipeline at the same shard count. The

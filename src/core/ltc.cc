@@ -92,9 +92,10 @@ void Ltc::ScanTo(uint64_t target_slot) {
   const uint8_t mask = ScanFlagMask();
 #ifdef LTC_METRICS
   // The instrumented sweep is the same pass with the occupancy count
-  // on, chosen once per ScanTo. Occupancy sampling rides the sweep for
-  // free: every period visits all m slots exactly once, so the scratch
-  // total at the period boundary is a full occupancy sample.
+  // on, chosen once per ScanTo; it reads the ID lane alone. Occupancy
+  // sampling rides the sweep: every period visits all m slots exactly
+  // once, however InsertBatch strides them, so the scratch total at
+  // the period boundary is a full occupancy sample.
   if (metrics_ != nullptr) {
     metrics_->clock_steps += target_slot - scan_cursor_;
     metrics_->scan_occupied_scratch +=
@@ -107,7 +108,17 @@ void Ltc::ScanTo(uint64_t target_slot) {
   scan_cursor_ = target_slot;
 }
 
-void Ltc::AdvanceTimeClock(double time) {
+void Ltc::CompletePeriod() {
+  ScanTo(table_.num_cells());
+  scan_cursor_ = 0;
+  ++current_period_;
+  LTC_METRICS_HOOK(
+      ++metrics_->periods_completed;
+      metrics_->occupied_cells = metrics_->scan_occupied_scratch;
+      metrics_->scan_occupied_scratch = 0;);
+}
+
+uint64_t Ltc::AdvanceTimeClock(double time) {
   assert(config_.period_mode == PeriodMode::kTimeBased);
   const uint64_t m = table_.num_cells();
   // Time-based (§III-B "when the period is defined by time"): the pointer
@@ -121,17 +132,31 @@ void Ltc::AdvanceTimeClock(double time) {
   last_time_ = time;
   const double t = config_.period_seconds;
   while (time >= (static_cast<double>(current_period_) + 1.0) * t) {
-    ScanTo(m);
-    scan_cursor_ = 0;
-    ++current_period_;
-    LTC_METRICS_HOOK(
-        ++metrics_->periods_completed;
-        metrics_->occupied_cells = metrics_->scan_occupied_scratch;
-        metrics_->scan_occupied_scratch = 0;);
+    CompletePeriod();
   }
   double offset = time - static_cast<double>(current_period_) * t;
   auto target = static_cast<uint64_t>(offset / t * static_cast<double>(m));
-  ScanTo(std::min(target, m));
+  return std::min(target, m);
+}
+
+uint64_t Ltc::AdvanceCountClock() {
+  // The pointer's position after this arrival is ⌊items_seen·m/n⌋
+  // within the period, maintained incrementally.
+  const uint64_t n = config_.items_per_period;
+  if (++items_seen_ >= n) {
+    CompletePeriod();
+    items_seen_ = 0;
+    clock_acc_ = 0;
+    clock_target_ = 0;
+    return 0;
+  }
+  clock_target_ += clock_step_div_;
+  clock_acc_ += clock_step_mod_;
+  if (clock_acc_ >= n) {
+    clock_acc_ -= n;
+    ++clock_target_;
+  }
+  return clock_target_;
 }
 
 void Ltc::PlaceItem(BucketView bucket, uint32_t cell_index, ItemId item) {
@@ -242,15 +267,24 @@ void Ltc::UpdateBucket(ItemId item, uint32_t bucket_index) {
 
 void Ltc::InsertBatch(std::span<const Record> records) {
   // Must leave the table in exactly the state one bucket-update plus
-  // clock-advance per record would (pinned by tests/ingest_pipeline_test
-  // and the differential oracle): same bucket updates, same clock
-  // advances, in the same order. The wins over a naive loop: the
-  // pacing-mode branch runs once per batch, the count-based CLOCK step
-  // is an incremental add (ResetClockStepper documents the invariant),
-  // and each record's routed bucket is prefetched kPrefetchAhead records
-  // before its probe issues — the batch already knows the next hashes,
-  // so the bucket lanes are warm when the vector compare needs them.
-  // Each item is hashed exactly once (the ring carries the result).
+  // clock-advance per record would (pinned by tests/ingest_pipeline_test,
+  // the differential oracle and the LtcSweep suite): same bucket
+  // updates, same clock advances, in the same order. The wins over a
+  // naive loop: the count-based CLOCK step is an incremental add
+  // (ResetClockStepper documents the invariant), each record's routed
+  // bucket is prefetched kPrefetchAhead records before its probe issues
+  // (the batch already knows the next hashes, so the bucket lanes are
+  // warm when the vector compare needs them), and the sweep is
+  // deferred. Each item is hashed exactly once (the ring carries the
+  // result).
+  //
+  // The deferred sweep: the pointer's target moves on every record, but
+  // the slots it passed, [scan_cursor_, target), stay pending until an
+  // arrival routes into a bucket with a cell among them, a period ends,
+  // or the batch ends. Only an update writes cells, and none has
+  // touched a pending cell, so sweeping them late gives the same cells
+  // and the same sink counts as sweeping them on time, in one longer
+  // SweepFlags call instead of one short call per record.
   const size_t count = records.size();
   if (count == 0) return;
 
@@ -262,26 +296,9 @@ void Ltc::InsertBatch(std::span<const Record> records) {
     table_.PrefetchBucket(bucket_ring[i]);
   }
 
-  if (config_.period_mode == PeriodMode::kTimeBased) {
-    for (size_t i = 0; i < count; ++i) {
-      const uint32_t bucket = bucket_ring[i % kPrefetchAhead];
-      if (i + ahead < count) {
-        const uint32_t next = BucketOf(records[i + ahead].item);
-        bucket_ring[(i + ahead) % kPrefetchAhead] = next;
-        table_.PrefetchBucket(next);
-      }
-      // Settle the clock first so the flag lands in this arrival's period.
-      AdvanceTimeClock(records[i].time);
-      UpdateBucket(records[i].item, bucket);
-#ifdef LTC_AUDIT
-      AuditAfterInsert(records[i].item);
-#endif
-    }
-    return;
-  }
-
-  const uint64_t m = table_.num_cells();
-  const uint64_t n = config_.items_per_period;
+  const bool time_based = config_.period_mode == PeriodMode::kTimeBased;
+  const uint64_t d = config_.cells_per_bucket;
+  uint64_t target = scan_cursor_;
   for (size_t i = 0; i < count; ++i) {
     const uint32_t bucket = bucket_ring[i % kPrefetchAhead];
     if (i + ahead < count) {
@@ -289,34 +306,19 @@ void Ltc::InsertBatch(std::span<const Record> records) {
       bucket_ring[(i + ahead) % kPrefetchAhead] = next;
       table_.PrefetchBucket(next);
     }
+    // Time-based pacing moves the clock before the update, so the flag
+    // lands in this arrival's period; count-based pacing after it.
+    if (time_based) target = AdvanceTimeClock(records[i].time);
+    const uint64_t first = bucket * d;
+    if (first < target && first + d > scan_cursor_) ScanTo(target);
     UpdateBucket(records[i].item, bucket);
-    // Count-based CLOCK advance: pointer position after this arrival is
-    // ⌊items_seen·m/n⌋ within the period, maintained incrementally.
-    ++items_seen_;
-    if (items_seen_ >= n) {
-      ScanTo(m);
-      scan_cursor_ = 0;
-      items_seen_ = 0;
-      ++current_period_;
-      clock_acc_ = 0;
-      clock_target_ = 0;
-      LTC_METRICS_HOOK(
-          ++metrics_->periods_completed;
-          metrics_->occupied_cells = metrics_->scan_occupied_scratch;
-          metrics_->scan_occupied_scratch = 0;);
-    } else {
-      clock_target_ += clock_step_div_;
-      clock_acc_ += clock_step_mod_;
-      if (clock_acc_ >= n) {
-        clock_acc_ -= n;
-        ++clock_target_;
-      }
-      ScanTo(clock_target_);
-    }
+    if (!time_based) target = AdvanceCountClock();
 #ifdef LTC_AUDIT
+    ScanTo(target);
     AuditAfterInsert(records[i].item);
 #endif
   }
+  ScanTo(target);
 }
 
 void Ltc::Finalize() {

@@ -144,11 +144,12 @@ class Ltc final : public SignificanceEstimator {
   // corrupting the CLOCK. See docs/TESTING.md "Time-based edge cases".
 
   /// The single ingestion path: identical table state to one Insert per
-  /// record. The pacing-mode branch and configuration loads are hoisted
-  /// out of the loop, the count-based CLOCK step runs as an incremental
-  /// add (no per-record multiply/divide), and each record's routed
-  /// bucket is software-prefetched a few records ahead of its probe.
-  /// The parallel IngestPipeline drains its per-shard rings through this.
+  /// record. The count-based CLOCK step runs as an incremental add (no
+  /// per-record multiply/divide), each record's routed bucket is
+  /// software-prefetched a few records ahead of its probe, and the
+  /// sweep of the slots the pointer passes is deferred until an arrival
+  /// routes into one of them, a period ends, or the batch ends. The
+  /// parallel IngestPipeline drains its per-shard rings through this.
   void InsertBatch(std::span<const Record> records) override;
 
   /// Credits all still-pending period flags. Call once after the stream
@@ -421,15 +422,24 @@ class Ltc final : public SignificanceEstimator {
   uint8_t ScanFlagMask() const;
 
   /// Advances the CLOCK pointer to `target_slot` within the current
-  /// period, scanning every slot it passes (§III-B Persistency
+  /// period, sweeping every slot it passes (§III-B Persistency
   /// Incrementing; §III-C variant checks the previous-period flag).
   void ScanTo(uint64_t target_slot);
 
+  /// Ends the current period: sweeps the rest of its slots, so every
+  /// pending one is settled under this period's mask, and starts the
+  /// next period with the pointer at slot 0.
+  void CompletePeriod();
+
   /// Moves time forward in time-based mode: completes any finished
-  /// periods (each completes the sweep over all m slots) and advances
-  /// the pointer within the current one. Count-based pacing is handled
-  /// by the incremental stepper inlined in InsertBatch.
-  void AdvanceTimeClock(double time);
+  /// periods and returns the pointer's target within the current one.
+  /// The caller sweeps up to the target (InsertBatch defers that).
+  uint64_t AdvanceTimeClock(double time);
+
+  /// The count-based clock step after one arrival: completes the period
+  /// on its n-th arrival, else steps the incremental target. Returns
+  /// the pointer's new target; the caller sweeps up to it.
+  uint64_t AdvanceCountClock();
 
   /// The bucket update of one arrival (Cases 1–3 of §III-B), without the
   /// CLOCK advance. `bucket` is BucketOf(item), precomputed by
@@ -542,9 +552,10 @@ class Ltc final : public SignificanceEstimator {
   void ResetClockStepper();
 
 #ifdef LTC_AUDIT
-  /// Runs at the end of every Insert: no-overestimation vs. the attached
-  /// oracle, CLOCK pointer pacing, parity-flag consistency, bucket-local
-  /// integrity. Reports through AuditFail on violation.
+  /// Runs after every record of InsertBatch, once the pending sweep is
+  /// settled: no-overestimation vs. the attached oracle, CLOCK pointer
+  /// pacing, parity-flag consistency, bucket-local integrity. Reports
+  /// through AuditFail on violation.
   void AuditAfterInsert(ItemId item);
 #endif
 

@@ -5,7 +5,9 @@
 // lane — "equals the key" and "equals zero" — and converts each to its
 // lowest set bit. The masks are order-independent, so vector width
 // never changes which cell wins: all backends agree bit-for-bit with
-// the scalar reference (pinned by tests/table_layout_test.cc).
+// the scalar reference (pinned by tests/table_layout_test.cc). The
+// CLOCK sweep kernel rides the same dispatch: the AVX2 backend sweeps
+// with AVX2, every other backend with the portable loop.
 
 #include "core/table_layout.h"
 
@@ -53,6 +55,27 @@ BucketProbe ProbeScalar(const uint64_t* ids, uint32_t d, uint64_t key) {
     }
   }
   return probe;
+}
+
+// The portable sweep, which GCC vectorizes for the baseline ISA. The ID
+// test runs in 32-bit words: SSE2 has no 64-bit compare, and a 64-bit
+// test would keep the loop from vectorizing.
+template <bool kCountOccupied>
+uint64_t SweepPortable(const uint64_t* __restrict ids,
+                       uint32_t* __restrict counters,
+                       uint8_t* __restrict flags, size_t begin, size_t end,
+                       uint8_t mask) {
+  uint64_t occupied = 0;
+  for (size_t i = begin; i < end; ++i) {
+    const uint32_t hit = flags[i] & mask;
+    counters[i] += (hit & 1) + (hit >> 1);
+    flags[i] = static_cast<uint8_t>(flags[i] & ~mask);
+    if constexpr (kCountOccupied) {
+      occupied += (static_cast<uint32_t>(ids[i]) |
+                   static_cast<uint32_t>(ids[i] >> 32)) != 0;
+    }
+  }
+  return occupied;
 }
 
 #if LTC_PROBE_X86
@@ -114,6 +137,51 @@ __attribute__((target("avx2"))) BucketProbe ProbeAvx2(const uint64_t* ids,
     empty_mask |= static_cast<uint64_t>(ids[i] == 0) << i;
   }
   return FromMasks(match_mask, empty_mask);
+}
+
+// The AVX2 sweep, 8 cells a step: the step's 8 flag bytes widen to
+// 8 counter increments, and its 8 IDs are two 64-bit compares against
+// zero. Each id-0 cell adds -1 to a lane of `zeros`, so the occupied
+// count is the cells swept plus the lanes' sum. The tail takes the
+// portable loop.
+template <bool kCountOccupied>
+__attribute__((target("avx2"))) uint64_t SweepAvx2(
+    const uint64_t* __restrict ids, uint32_t* __restrict counters,
+    uint8_t* __restrict flags, size_t begin, size_t end, uint8_t mask) {
+  const __m128i vmask = _mm_set1_epi8(static_cast<char>(mask));
+  const __m128i vone = _mm_set1_epi8(1);
+  const __m256i vzero = _mm256_setzero_si256();
+  __m256i zeros = vzero;
+  size_t i = begin;
+  for (; i + 8 <= end; i += 8) {
+    auto* flag_step = reinterpret_cast<__m128i*>(flags + i);
+    auto* counter_step = reinterpret_cast<__m256i*>(counters + i);
+    const __m128i f = _mm_loadl_epi64(flag_step);
+    const __m128i hit = _mm_and_si128(f, vmask);
+    // A hit is at most 2 bits: its popcount is bit 0 plus bit 1.
+    const __m128i credit =
+        _mm_add_epi8(_mm_and_si128(hit, vone),
+                     _mm_and_si128(_mm_srli_epi16(hit, 1), vone));
+    _mm256_storeu_si256(counter_step,
+                        _mm256_add_epi32(_mm256_loadu_si256(counter_step),
+                                         _mm256_cvtepu8_epi32(credit)));
+    _mm_storel_epi64(flag_step, _mm_andnot_si128(vmask, f));
+    if constexpr (kCountOccupied) {
+      const auto* id_step = reinterpret_cast<const __m256i*>(ids + i);
+      zeros = _mm256_add_epi64(
+          zeros, _mm256_cmpeq_epi64(_mm256_loadu_si256(id_step), vzero));
+      zeros = _mm256_add_epi64(
+          zeros, _mm256_cmpeq_epi64(_mm256_loadu_si256(id_step + 1), vzero));
+    }
+  }
+  uint64_t occupied = 0;
+  if constexpr (kCountOccupied) {
+    alignas(32) uint64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), zeros);
+    occupied = (i - begin) + lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  }
+  return occupied +
+         SweepPortable<kCountOccupied>(ids, counters, flags, i, end, mask);
 }
 
 #endif  // LTC_PROBE_X86
@@ -247,6 +315,24 @@ bool TableLayout::SameBucket(const TableLayout& other, uint32_t b) const {
          std::memcmp(flags_.data() + base, other.flags_.data() + base, d) ==
              0;
 }
+
+template <bool kCountOccupied>
+uint64_t TableLayout::SweepFlags(size_t begin, size_t end, uint8_t mask) {
+  assert(begin <= end && end <= ids_.size());
+  assert((mask & ~0x3u) == 0);
+#if LTC_PROBE_X86
+  // Under one AVX2 step the portable loop is all the AVX2 kernel runs.
+  if (end - begin >= 8 && ActiveProbeBackend() == ProbeBackend::kAvx2) {
+    return SweepAvx2<kCountOccupied>(ids_.data(), counters_.data(),
+                                     flags_.data(), begin, end, mask);
+  }
+#endif
+  return SweepPortable<kCountOccupied>(ids_.data(), counters_.data(),
+                                       flags_.data(), begin, end, mask);
+}
+
+template uint64_t TableLayout::SweepFlags<true>(size_t, size_t, uint8_t);
+template uint64_t TableLayout::SweepFlags<false>(size_t, size_t, uint8_t);
 
 BucketProbe ConstBucketView::Probe(ItemId key) const {
   return dispatch().fn.load(std::memory_order_relaxed)(ids_, d_, key);

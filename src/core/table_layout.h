@@ -251,36 +251,16 @@ class TableLayout {
 
   /// The CLOCK sweep kernel (§III-B), for Ltc's pointer advance and its
   /// Finalize: every cell in [begin, end) gains one persistency credit
-  /// per bit of `mask` its flags hold, and those bits are cleared. One
-  /// branch-free pass over the flag and counter lanes, which the
-  /// compiler vectorizes. With kCountOccupied it also returns how many
-  /// of those cells are occupied after the pass (any nonzero id, freq
-  /// or counter), for the metrics sink's occupancy sample; else 0.
+  /// per bit of `mask` its flags hold, and those bits are cleared. With
+  /// kCountOccupied it also returns how many of those cells are
+  /// occupied (nonzero ID), for the metrics sink's occupancy sample;
+  /// else 0. The ID lane alone decides: Ltc's structural invariant
+  /// keeps id-0 cells fully zeroed, and a sweep never flags one.
+  /// Branch-free over the lanes; the AVX2 probe backend selects an
+  /// AVX2 kernel, every other backend the portable loop, which the
+  /// compiler vectorizes. Both give the same cells and count.
   template <bool kCountOccupied>
-  uint64_t SweepFlags(size_t begin, size_t end, uint8_t mask) {
-    assert(begin <= end && end <= ids_.size());
-    assert((mask & ~0x3u) == 0);
-    uint8_t* __restrict flags = flags_.data();
-    uint32_t* __restrict counters = counters_.data();
-    const uint64_t* __restrict ids = ids_.data();
-    const uint32_t* __restrict freqs = freqs_.data();
-    uint64_t occupied = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t hit = flags[i] & mask;
-      const uint32_t counter = counters[i] + (hit & 1) + (hit >> 1);
-      counters[i] = counter;
-      flags[i] = static_cast<uint8_t>(flags[i] & ~mask);
-      if constexpr (kCountOccupied) {
-        // In 32-bit words: SSE2 has no 64-bit compare, and a 64-bit
-        // test would keep the loop from vectorizing.
-        const uint32_t any = static_cast<uint32_t>(ids[i]) |
-                             static_cast<uint32_t>(ids[i] >> 32) |
-                             freqs[i] | counter;
-        occupied += any != 0;
-      }
-    }
-    return occupied;
-  }
+  uint64_t SweepFlags(size_t begin, size_t end, uint8_t mask);
 
   /// Software-prefetches bucket b's ID lane (the probe's first touch)
   /// and counter lanes. InsertBatch calls this a few records ahead —

@@ -8,13 +8,16 @@
 #include <iterator>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bob_hash.h"
 #include "common/crc32.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/ltc.h"
 #include "core/sharded_ltc.h"
@@ -877,6 +880,112 @@ TEST(LtcSweep, ImagesAndSinkCountsMatchRecordedValues) {
     }
   }
   EXPECT_EQ(row, std::size(kSweepGolden));
+}
+
+// InsertBatch defers the CLOCK sweep until an arrival routes into a
+// bucket with a pending cell, a period ends, or the batch ends. One
+// Insert per record settles its sweep at every record, so it is the
+// per-record sweep the deferred one must equal: same image, same sink
+// counts, over any split of the stream into batches.
+TEST(LtcSweep, DeferredSweepEqualsPerRecordSweep) {
+  for (PeriodMode mode : {PeriodMode::kCountBased, PeriodMode::kTimeBased}) {
+    for (bool de : {true, false}) {
+      for (bool ltr : {true, false}) {
+        for (uint32_t d : {1u, 8u, 32u}) {
+          for (bool behind : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "time=" << (mode == PeriodMode::kTimeBased)
+                         << " de=" << de << " ltr=" << ltr << " d=" << d
+                         << " behind_pointer=" << behind);
+            LtcConfig config;
+            config.memory_bytes = 4 * 1024;  // 256 cells
+            config.cells_per_bucket = d;
+            config.deviation_eliminator = de;
+            config.long_tail_replacement = ltr;
+            config.period_mode = mode;
+            // 2.56 cells per arrival, or about 100 arrivals per second.
+            config.items_per_period = 100;
+            config.period_seconds = 1.0;
+            config.seed = 5;
+            const Ltc shape(config);
+            const uint64_t m = shape.num_cells();
+            const uint32_t w = shape.num_buckets();
+            // A few items per bucket, so a pick can be steered to any
+            // bucket.
+            std::vector<std::vector<ItemId>> by_bucket(w);
+            for (ItemId item = 1; item < 64 * 256; ++item) {
+              auto& items = by_bucket[FastRange32(
+                  BobHash32(item, static_cast<uint32_t>(config.seed)), w)];
+              if (items.size() < 4) items.push_back(item);
+            }
+
+            Rng rng(d * 8 + de * 4 + ltr * 2 + behind);
+            std::vector<Record> records;
+            double time = 0.0;
+            for (uint64_t i = 0; i < 3000; ++i) {
+              time += rng.UniformDouble() * 0.02;
+              // Now and then no arrival for whole periods.
+              if (i % 700 == 699) time += 3.0;
+              // The slot the pointer targets before this arrival's
+              // update, by the formulas the clock uses.
+              uint64_t target = i % config.items_per_period * m /
+                                config.items_per_period;
+              if (mode == PeriodMode::kTimeBased) {
+                const double offset = time - std::floor(time);
+                target = std::min(
+                    m, static_cast<uint64_t>(offset * static_cast<double>(m)));
+              }
+              ItemId item = 1 + rng.Uniform(rng.Bernoulli(0.5) ? 20 : 400);
+              if (behind && target > 0 && rng.Bernoulli(0.8)) {
+                // Into the bucket just behind the pointer: its cells
+                // are the newest pending ones.
+                const auto& items = by_bucket[(target - 1) / d];
+                item = items[rng.Uniform(items.size())];
+              }
+              records.push_back({item, time});
+            }
+
+            Ltc reference(config);
+#ifdef LTC_METRICS
+            LtcMetricsSink reference_sink;
+            reference.AttachMetricsSink(&reference_sink);
+#endif
+            for (const Record& record : records) {
+              reference.Insert(record.item, record.time);
+            }
+            // Batches of random length up to 1, 7 and 64 records, then
+            // the whole stream as one batch (0).
+            for (size_t split : {1u, 7u, 64u, 0u}) {
+              SCOPED_TRACE(testing::Message() << "split=" << split);
+              Ltc table(config);
+#ifdef LTC_METRICS
+              LtcMetricsSink sink;
+              table.AttachMetricsSink(&sink);
+#endif
+              const std::span<const Record> all(records);
+              for (size_t off = 0; off < all.size();) {
+                const size_t len =
+                    split == 0 ? all.size()
+                               : std::min(all.size() - off,
+                                          1 + rng.Uniform(split));
+                table.InsertBatch(all.subspan(off, len));
+                off += len;
+              }
+              EXPECT_EQ(Bytes(table), Bytes(reference));
+#ifdef LTC_METRICS
+              EXPECT_EQ(sink.clock_steps, reference_sink.clock_steps);
+              EXPECT_EQ(sink.occupied_cells, reference_sink.occupied_cells);
+              EXPECT_EQ(sink.periods_completed,
+                        reference_sink.periods_completed);
+              EXPECT_EQ(sink.scan_occupied_scratch,
+                        reference_sink.scan_occupied_scratch);
+#endif
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // to the scalar-driven twin. Runs under asan and the LTC_AUDIT build
 // like the rest of the unit label.
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -169,6 +170,55 @@ TEST_F(TableLayoutTest, WholeTableIsBackendInvariant) {
       EXPECT_EQ(writer.data(), reference)
           << "backend " << ProbeBackendName(backend)
           << " diverged from scalar";
+    }
+  }
+}
+
+TEST_F(TableLayoutTest, SweepKernelsAgreeAcrossBackends) {
+  // The CLOCK sweep's kernel follows the probe backend. Every backend
+  // must leave the same lanes and count the same occupied cells, on
+  // ranges of every length and offset (the AVX2 kernel's 8-cell steps
+  // and its tail). Cells hold reachable states only: an id-0 cell is
+  // fully zeroed; other IDs include ones with a zero 32-bit half.
+  std::mt19937_64 rng(23);
+  TableLayout seed_table(64, 5);  // 320 cells
+  const uint64_t kIds[] = {1, uint64_t{1} << 32, 0xFFFFFFFF,
+                           0x8000000000000000};
+  for (size_t i = 0; i < seed_table.num_cells(); ++i) {
+    if (rng() % 3 == 0) continue;  // empty
+    CellRef cell = seed_table.cell(i);
+    cell.set_id(rng() % 2 ? kIds[rng() % 4] : rng() | 1);
+    cell.set_freq(static_cast<uint32_t>(rng() % 50 + 1));
+    cell.set_counter(static_cast<uint32_t>(rng() % 50));
+    cell.set_flags(static_cast<uint8_t>(rng() % 4));
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t begin = rng() % seed_table.num_cells();
+    const size_t end = begin + rng() % (seed_table.num_cells() - begin + 1);
+    const auto mask = static_cast<uint8_t>(1 + rng() % 3);
+    // The sweep, cell by cell.
+    TableLayout want = seed_table;
+    uint64_t want_occupied = 0;
+    for (size_t i = begin; i < end; ++i) {
+      CellRef cell = want.cell(i);
+      cell.set_counter(cell.counter() +
+                       __builtin_popcount(cell.flags() & mask));
+      cell.set_flags(static_cast<uint8_t>(cell.flags() & ~mask));
+      want_occupied += cell.id() != 0;
+    }
+    for (ProbeBackend backend : SupportedBackends()) {
+      SCOPED_TRACE(testing::Message()
+                   << ProbeBackendName(backend) << " [" << begin << ", "
+                   << end << ") mask=" << int{mask});
+      ASSERT_EQ(SetProbeBackend(backend), backend);
+      TableLayout counted = seed_table;
+      TableLayout uncounted = seed_table;
+      EXPECT_EQ(counted.SweepFlags<true>(begin, end, mask), want_occupied);
+      EXPECT_EQ(uncounted.SweepFlags<false>(begin, end, mask), 0u);
+      for (const TableLayout* swept : {&counted, &uncounted}) {
+        EXPECT_TRUE(std::ranges::equal(swept->counters(), want.counters()));
+        EXPECT_TRUE(std::ranges::equal(swept->flags(), want.flags()));
+      }
     }
   }
 }

@@ -93,3 +93,49 @@ if(NOT single_walked STREQUAL single_loaded)
   message(FATAL_ERROR "walk-back did not restore the last boundary's "
                       "snapshot:\n${single_walked}\nvs\n${single_loaded}")
 endif()
+
+# A token trace numbers its tokens in first-seen order, in each run
+# anew: an item ID read back in another run names a different token.
+# Saved A = 300 x (alice, bob), a --load of B = 50 x (carol, alice) would
+# report carol with alice's counts and alice with bob's. So --load,
+# --push-to and a --store reopen refuse a token trace (usage error, 2).
+string(REPEAT "alice\nbob\n" 300 tokens_a)
+string(REPEAT "carol\nalice\n" 50 tokens_b)
+file(WRITE ${WORK_DIR}/e2e_tokens_a.txt "${tokens_a}")
+file(WRITE ${WORK_DIR}/e2e_tokens_b.txt "${tokens_b}")
+execute_process(COMMAND ${LTC_CLI} --csv --save ${WORK_DIR}/e2e_tokens.bin
+                ${WORK_DIR}/e2e_tokens_a.txt
+                RESULT_VARIABLE tokens_save_rc)
+if(NOT tokens_save_rc EQUAL 0)
+  message(FATAL_ERROR "ltc_cli --save on a token trace failed: "
+                      "${tokens_save_rc}")
+endif()
+execute_process(COMMAND ${LTC_CLI} --csv --load ${WORK_DIR}/e2e_tokens.bin
+                ${WORK_DIR}/e2e_tokens_b.txt
+                OUTPUT_VARIABLE tokens_loaded RESULT_VARIABLE tokens_load_rc)
+if(NOT tokens_load_rc EQUAL 2)
+  message(FATAL_ERROR "--load on a token trace must be a usage error (2), "
+                      "got ${tokens_load_rc}:\n${tokens_loaded}")
+endif()
+execute_process(COMMAND ${LTC_CLI} --push-to 127.0.0.1:9 --node-id 1
+                ${WORK_DIR}/e2e_tokens_b.txt
+                RESULT_VARIABLE tokens_push_rc)
+if(NOT tokens_push_rc EQUAL 2)
+  message(FATAL_ERROR "--push-to on a token trace must be a usage error "
+                      "(2), got ${tokens_push_rc}")
+endif()
+file(REMOVE_RECURSE ${WORK_DIR}/e2e_tokens_store)
+execute_process(COMMAND ${LTC_CLI} --store ${WORK_DIR}/e2e_tokens_store
+                ${WORK_DIR}/e2e_tokens_a.txt
+                RESULT_VARIABLE tokens_store_rc)
+if(NOT tokens_store_rc EQUAL 0)
+  message(FATAL_ERROR "a new --store on a token trace failed: "
+                      "${tokens_store_rc}")
+endif()
+execute_process(COMMAND ${LTC_CLI} --store ${WORK_DIR}/e2e_tokens_store
+                ${WORK_DIR}/e2e_tokens_b.txt
+                RESULT_VARIABLE tokens_reopen_rc)
+if(NOT tokens_reopen_rc EQUAL 2)
+  message(FATAL_ERROR "a --store reopen on a token trace must be a usage "
+                      "error (2), got ${tokens_reopen_rc}")
+endif()

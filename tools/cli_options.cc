@@ -85,7 +85,8 @@ options:
   --load FILE       restore the table from FILE before the run; if FILE
                     is missing or corrupt, recovery walks back through
                     the FILE.<seq>.snap rotation to the newest valid
-                    snapshot
+                    snapshot. Needs a numeric trace: token IDs are
+                    numbered anew in each run
   --checkpoint-every N
                     also snapshot every N records mid-run to
                     FILE.<seq>.snap (requires --save; keeps the
@@ -113,8 +114,8 @@ options:
                     push flush-barrier sketch images to an aggregator
                     over LTCQ (PUSH_SKETCH) while feeding, with
                     deadline-bounded retries; requires --node-id and
-                    --threads 1 (see docs/SERVING.md "Aggregation
-                    tier") [off]
+                    --threads 1 and a numeric trace (see
+                    docs/SERVING.md "Aggregation tier") [off]
   --push-every N    push cadence in records (0 = one final push at the
                     end of the trace; requires --push-to) [0]
   --node-id N       this node's stable identity at the aggregator
@@ -136,7 +137,8 @@ options:
                     write-ahead log; --checkpoint-every N takes an
                     incremental checkpoint every N records (no --save
                     needed); reopening with the same DIR recovers every
-                    tenant, WAL replay included. The report lists the
+                    tenant, WAL replay included, and needs a numeric
+                    trace. The report lists the
                     top-k per tenant. Conflicts with --serve, --push-to,
                     --aggregate, --threads, --save and --load [off]
   --tenants N       tenant sketches in --store mode; each record feeds

@@ -488,6 +488,28 @@ int Run(const CliOptions& options, TraceSession& trace_session,
   }
   const Stream& stream = trace->stream;
   const std::span<const Record> records(stream.records());
+  // A token trace numbers its tokens in first-seen order, in each run
+  // anew, so an item ID read back from another run (a checkpoint, a
+  // store, an aggregator's merge) names a different token there.
+  // Numeric traces carry their item IDs verbatim.
+  if (trace->used_interner) {
+    // A --store directory that already holds files is a reopen.
+    std::error_code ec;
+    const bool store_reopen =
+        !options.store_dir.empty() &&
+        std::filesystem::exists(options.store_dir, ec) &&
+        !std::filesystem::is_empty(options.store_dir, ec);
+    if (!options.load_path.empty() || !options.push_to.empty() ||
+        store_reopen) {
+      std::fprintf(stderr,
+                   "ltc_cli: --load, --push-to and reopening a --store need "
+                   "a numeric trace (a token trace numbers its items in "
+                   "first-seen order, so an item ID from another run names "
+                   "a different token)\n%s",
+                   CliUsage().c_str());
+      return 2;
+    }
+  }
 
   // 2. Build or restore the estimator: the --store tenants, or one
   // table — single or sharded. A checkpoint carries its own config
