@@ -21,7 +21,7 @@ ShardedLtc::ShardedLtc(const LtcConfig& config, uint32_t num_shards)
   }
   shards_.reserve(num_shards);
   for (uint32_t i = 0; i < num_shards; ++i) {
-    shards_.emplace_back(per_shard);
+    shards_.push_back(ShardSlot{Ltc(per_shard)});
   }
 }
 
@@ -31,7 +31,7 @@ uint32_t ShardedLtc::ShardOf(ItemId item) const {
 }
 
 void ShardedLtc::Insert(ItemId item, double time) {
-  shards_[ShardOf(item)].Insert(item, time);
+  shard(ShardOf(item)).Insert(item, time);
 }
 
 void ShardedLtc::InsertBatch(std::span<const Record> records) {
@@ -46,33 +46,33 @@ void ShardedLtc::InsertBatch(std::span<const Record> records) {
     batch_runs_[ShardOf(record.item)].push_back(record);
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!batch_runs_[s].empty()) shards_[s].InsertBatch(batch_runs_[s]);
+    if (!batch_runs_[s].empty()) shard(s).InsertBatch(batch_runs_[s]);
   }
 }
 
 void ShardedLtc::Finalize() {
-  for (Ltc& shard : shards_) shard.Finalize();
+  for (ShardSlot& slot : shards_) slot.table.Finalize();
 }
 
 std::vector<Ltc::Report> ShardedLtc::TopK(size_t k) const {
   std::vector<Ltc::Report> all;
-  for (const Ltc& shard : shards_) {
-    for (const auto& report : shard.TopK(k)) all.push_back(report);
+  for (const ShardSlot& slot : shards_) {
+    for (const auto& report : slot.table.TopK(k)) all.push_back(report);
   }
   RankReports(&all, k);
   return all;
 }
 
 double ShardedLtc::QuerySignificance(ItemId item) const {
-  return shards_[ShardOf(item)].QuerySignificance(item);
+  return shard(ShardOf(item)).QuerySignificance(item);
 }
 
 uint64_t ShardedLtc::EstimateFrequency(ItemId item) const {
-  return shards_[ShardOf(item)].EstimateFrequency(item);
+  return shard(ShardOf(item)).EstimateFrequency(item);
 }
 
 uint64_t ShardedLtc::EstimatePersistency(ItemId item) const {
-  return shards_[ShardOf(item)].EstimatePersistency(item);
+  return shard(ShardOf(item)).EstimatePersistency(item);
 }
 
 namespace {
@@ -85,7 +85,7 @@ void ShardedLtc::Serialize(BinaryWriter& writer) const {
   PutVersionedMagic(writer, kShardedMagic, kShardedFormatVersion);
   writer.PutU64(route_seed_);
   writer.PutU32(static_cast<uint32_t>(shards_.size()));
-  for (const Ltc& shard : shards_) shard.Serialize(writer);
+  for (const ShardSlot& slot : shards_) slot.table.Serialize(writer);
 }
 
 std::optional<ShardedLtc> ShardedLtc::Deserialize(BinaryReader& reader) {
@@ -102,27 +102,27 @@ std::optional<ShardedLtc> ShardedLtc::Deserialize(BinaryReader& reader) {
   for (uint32_t i = 0; i < num_shards; ++i) {
     auto shard = Ltc::Deserialize(reader);
     if (!shard) return std::nullopt;
-    sharded.shards_.push_back(std::move(*shard));
+    sharded.shards_.push_back(ShardSlot{std::move(*shard)});
   }
   return sharded;
 }
 
 ShardedLtc ShardedLtc::CloneAtBarrier() const {
   ShardedLtc copy(*this);
-  for (Ltc& shard : copy.shards_) shard.DetachTransientsForClone();
+  for (ShardSlot& slot : copy.shards_) slot.table.DetachTransientsForClone();
   return copy;
 }
 
 bool ShardedLtc::CheckInvariants() const {
-  for (const Ltc& shard : shards_) {
-    if (!shard.CheckInvariants()) return false;
+  for (const ShardSlot& slot : shards_) {
+    if (!slot.table.CheckInvariants()) return false;
   }
   return true;
 }
 
 size_t ShardedLtc::MemoryBytes() const {
   size_t total = 0;
-  for (const Ltc& shard : shards_) total += shard.MemoryBytes();
+  for (const ShardSlot& slot : shards_) total += slot.table.MemoryBytes();
   return total;
 }
 

@@ -14,7 +14,12 @@
 // that — a router thread hashing records into per-shard SPSC rings, one
 // worker per shard draining in batches — and
 // tests/ingest_pipeline_test.cc pins that its final state is identical to
-// sequential Insert calls.
+// sequential Insert calls. Each shard's table sits in its own slot of
+// whole 128-byte blocks: a worker writes its table's clock scalars on
+// every record, and unpadded they shared a line (or the prefetcher's
+// 128-byte line pair) with the next table's vptr and config, which the
+// other worker reads on every record (docs/PERF.md "Shard tables on
+// their own lines").
 
 #ifndef LTC_CORE_SHARDED_LTC_H_
 #define LTC_CORE_SHARDED_LTC_H_
@@ -63,8 +68,8 @@ class ShardedLtc final : public SignificanceEstimator {
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
-  Ltc& shard(uint32_t i) { return shards_[i]; }
-  const Ltc& shard(uint32_t i) const { return shards_[i]; }
+  Ltc& shard(uint32_t i) { return shards_[i].table; }
+  const Ltc& shard(uint32_t i) const { return shards_[i].table; }
 
   size_t MemoryBytes() const override;
 
@@ -90,7 +95,7 @@ class ShardedLtc final : public SignificanceEstimator {
   /// the truth must be computed with the per-shard period length — build
   /// the oracle from shard(i).config(), not from the global config.
   void AttachAuditOracle(uint32_t shard_index, const AuditOracle* oracle) {
-    shards_[shard_index].AttachAuditOracle(oracle);
+    shard(shard_index).AttachAuditOracle(oracle);
   }
 #endif
 
@@ -99,15 +104,23 @@ class ShardedLtc final : public SignificanceEstimator {
   /// the sink is written by whichever thread feeds that shard, so sharing
   /// a sink across shards would race). See core/ltc_metrics_sink.h.
   void AttachMetricsSink(uint32_t shard_index, LtcMetricsSink* sink) {
-    shards_[shard_index].AttachMetricsSink(sink);
+    shard(shard_index).AttachMetricsSink(sink);
   }
 #endif
 
  private:
   ShardedLtc() = default;  // Deserialize constructs piecewise
 
+  // 128, not 64: the adjacent-line prefetcher fetches lines in pairs.
+  static constexpr size_t kShardAlignment = 128;
+  struct alignas(kShardAlignment) ShardSlot {
+    Ltc table;
+  };
+  static_assert(alignof(ShardSlot) == kShardAlignment &&
+                sizeof(ShardSlot) % kShardAlignment == 0);
+
   uint64_t route_seed_ = 0;
-  std::vector<Ltc> shards_;
+  std::vector<ShardSlot> shards_;
   // Per-shard routing runs reused across InsertBatch calls (capacity is
   // retained, so steady-state batches allocate nothing).
   std::vector<std::vector<Record>> batch_runs_;

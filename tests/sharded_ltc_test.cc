@@ -376,6 +376,49 @@ TEST(ShardedLtc, SingleShardEqualsPlainLtc) {
   }
 }
 
+// Each pipeline worker writes its shard's clock scalars on every record,
+// so no two shard tables may share a 128-byte block (a line pair the
+// adjacent-line prefetcher fetches together). Every way of making a
+// ShardedLtc builds its own shard vector, so each one is checked.
+void ExpectShardsOwnWhole128ByteBlocks(const ShardedLtc& sharded,
+                                       const std::string& what) {
+  constexpr uintptr_t kBlock = 128;
+  for (uint32_t i = 0; i < sharded.num_shards(); ++i) {
+    const auto begin = reinterpret_cast<uintptr_t>(&sharded.shard(i));
+    EXPECT_EQ(begin % kBlock, 0u) << what << " shard " << i;
+    for (uint32_t j = 0; j < i; ++j) {
+      const auto other = reinterpret_cast<uintptr_t>(&sharded.shard(j));
+      const uintptr_t first_block = std::max(begin, other) / kBlock;
+      const uintptr_t last_block =
+          (std::min(begin, other) + sizeof(Ltc) - 1) / kBlock;
+      EXPECT_GT(first_block, last_block)
+          << what << " shards " << j << " and " << i << " share a block";
+    }
+  }
+}
+
+TEST(ShardedLtc, ShardTablesOwnWhole128ByteBlocks) {
+  for (uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("S = " + std::to_string(shards));
+    LtcConfig config;
+    config.memory_bytes = shards * 4 * 1024;
+    ShardedLtc built(config, shards);
+    for (ItemId item = 1; item <= 1000; ++item) built.Insert(item);
+    ExpectShardsOwnWhole128ByteBlocks(built, "constructed");
+
+    const ShardedLtc copied(built);
+    ExpectShardsOwnWhole128ByteBlocks(copied, "copy");
+    ExpectShardsOwnWhole128ByteBlocks(built.CloneAtBarrier(), "clone");
+
+    BinaryWriter writer;
+    built.Serialize(writer);
+    BinaryReader reader(writer.data());
+    auto restored = ShardedLtc::Deserialize(reader);
+    ASSERT_TRUE(restored.has_value());
+    ExpectShardsOwnWhole128ByteBlocks(*restored, "deserialized");
+  }
+}
+
 // Shards fed by different threads write their sinks on every record;
 // sinks laid out side by side, as callers attach them, must each start
 // a cache line of their own or the shards false-share.
