@@ -14,8 +14,8 @@
 //    aggregator nodes' shape, where the CLOCK sweep dominates
 //    (docs/PERF.md "Per-cell loops");
 //  * BM_LtcInsertPieces at 64/512-record pieces — inserts at the
-//    ingest_zipf shard shape, fed in the pieces a pipeline worker
-//    applies (docs/PERF.md "Sweep in strides");
+//    ingest_zipf shard shape, fed in short pieces and in the pieces a
+//    pipeline worker applies (docs/PERF.md "Sweep in strides");
 //  * BM_ShardedInsert and BM_PipelineInsert at 1/2/4/8 shards —
 //    sequential ShardedLtc vs IngestPipeline (docs/INGEST.md), the
 //    pipeline with and without per-shard metrics sinks;
@@ -250,9 +250,10 @@ BENCHMARK(BM_LtcInsertSweep)
 
 // Inserts at the ingest_zipf shard shape (128 KiB, d = 8, 2000 items
 // per period) with a metrics sink attached, fed in pieces of the given
-// length, one fresh table per iteration. 64 is the pipeline worker's
-// progress chunk: a piece ends the deferred CLOCK sweep's stride, so
-// the piece length caps the cells each sweep call covers.
+// length, one fresh table per iteration. 512 is the pipeline worker's
+// default drain batch, which it applies whole; 64 is a short piece. A
+// piece ends the deferred CLOCK sweep's stride, so the piece length
+// caps the cells each sweep call covers.
 void BM_LtcInsertPieces(benchmark::State& state) {
 #ifndef LTC_METRICS
   state.SkipWithError("built with LTC_METRICS=OFF");

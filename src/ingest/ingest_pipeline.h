@@ -22,18 +22,15 @@
 // flag (and the stuck records are counted as dropped) instead of
 // wedging the producer forever.
 //
-// Self-healing (docs/INGEST.md "Failure handling & degradation"): a
-// supervisor thread leases each lane to its worker by generation number
-// and watches per-worker heartbeats. A worker that exits is joined and
-// respawned on its shard; a worker whose heartbeat freezes while its
-// ring holds a backlog is retired (its lease revoked, the thread
-// abandoned until Stop) and replaced — the replacement becomes the
-// ring's single consumer and drains exactly the records the retiree
-// left behind, so no record is lost or double-applied. Once every lane
-// is live again and every backlog has drained, the supervisor clears
-// the stalled() latch: a stall is an incident, not a death sentence.
-// health() summarises this as Healthy / Degraded (restart cooling down
-// or load shedding) / Stalled.
+// Worker lifetime (docs/INGEST.md "Failure handling & degradation"):
+// each lane keeps the one worker the constructor spawned until Stop(),
+// so every shard table has exactly one writer, the premise of both the
+// no-overestimation guarantee and the bit-identity above. Nothing
+// replaces a worker that stops draining: its lane shows as a stall
+// (bounded waits expire, stalled() latches, StallDetail names the
+// backlog) until it drains again and a Flush() completes, or until
+// Stop() applies the leftover backlog inline. health() summarises this
+// as Healthy / Degraded (a lane is shedding) / Stalled.
 //
 // Overload shedding (opt-in, kBlock only): when a lane's queue depth
 // stays above the high watermark for `sustain` consecutive pushes (a
@@ -62,11 +59,10 @@
 #define LTC_INGEST_INGEST_PIPELINE_H_
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -92,31 +88,13 @@ enum class BackpressureMode {
 /// The pipeline's summarized condition. Ordered by severity: the metric
 /// gauge exports the enum value, so alerts can threshold on it.
 enum class IngestHealth {
-  kHealthy = 0,   // all workers live, no shedding, no latched stall
-  kDegraded = 1,  // a restart is cooling down and/or a lane is shedding
-  kStalled = 2,   // a bounded wait expired and the stall has not healed
+  kHealthy = 0,   // no shedding, no latched stall
+  kDegraded = 1,  // a lane is shedding
+  kStalled = 2,   // a bounded wait expired, no complete Flush() since
 };
 
 /// "healthy" / "degraded" / "stalled".
 const char* IngestHealthName(IngestHealth health);
-
-/// Supervisor knobs (see IngestConfig::supervision).
-struct SupervisionConfig {
-  /// Master switch. Disabled = the pre-supervision pipeline: a dead
-  /// worker stays dead (Stop() still applies its leftover backlog).
-  bool enabled = true;
-
-  /// Supervisor tick cadence. Detection latencies below are measured
-  /// in these ticks.
-  uint64_t interval_usec = 20'000;
-
-  /// A worker whose heartbeat AND drained count stay frozen for this
-  /// many consecutive ticks while its ring holds a backlog is declared
-  /// hung and replaced. Conservative by default (~5s at the default
-  /// tick): retiring a live-but-slow worker would race its in-flight
-  /// batch against the replacement.
-  uint64_t hang_ticks = 250;
-};
 
 /// Producer-side overload shedding knobs (see IngestConfig::shed).
 struct ShedPolicy {
@@ -155,12 +133,9 @@ struct IngestConfig {
   /// stalled() latches true and (for a blocked push) the stuck records
   /// are counted as dropped. A dead worker thus surfaces as an
   /// observable error instead of an infinite producer spin. The default
-  /// is a few seconds of real time; tests use tiny values.
+  /// is a few seconds of real time; tests use tiny values. Flush() also
+  /// waits at least IngestPipeline::kFlushMinWait without progress.
   uint64_t stall_yield_limit = 4'000'000;
-
-  /// Worker supervision: heartbeat monitoring, restart-on-death/hang,
-  /// stall healing.
-  SupervisionConfig supervision;
 
   /// Overload shedding under sustained queue pressure (off by default).
   ShedPolicy shed;
@@ -184,7 +159,6 @@ struct IngestShardStats {
   uint64_t drained = 0;      // records applied to the shard table
   uint64_t batches = 0;      // InsertBatch calls the worker issued
   uint64_t flushes = 0;      // Flush() waits this lane completed
-  uint64_t restarts = 0;     // times the supervisor replaced the worker
   bool shedding = false;     // lane currently in probabilistic admission
   size_t queue_depth = 0;    // ring occupancy at sampling time (racy)
   size_t ring_capacity = 0;
@@ -192,9 +166,9 @@ struct IngestShardStats {
 
 class IngestPipeline {
  public:
-  /// Spawns one worker thread per shard of `sink` (plus the supervisor
-  /// when enabled). The sink must outlive the pipeline, and nothing
-  /// else may touch it until Flush()/Stop().
+  /// Spawns one worker thread per shard of `sink`; each runs until
+  /// Stop(). The sink must outlive the pipeline, and nothing else may
+  /// touch it until Flush()/Stop().
   explicit IngestPipeline(ShardedLtc& sink, const IngestConfig& config = {});
 
   /// Stops and joins the workers (all accepted records are applied).
@@ -227,8 +201,15 @@ class IngestPipeline {
   /// snapshots are taken (flush, query, keep feeding). The wait is
   /// bounded (see IngestConfig::stall_yield_limit): returns false when
   /// a stalled worker kept records from draining, true when every
-  /// accepted record is applied.
+  /// accepted record is applied. A complete Flush() clears stalled().
   bool Flush();
+
+  /// Wall time a Flush() lane wait spends without progress before it
+  /// may give up, however small stall_yield_limit is. Under CPU load a
+  /// yield returns at once while a live worker queued on another core
+  /// is not scheduled at all; past its yields the wait sleeps, so the
+  /// worker can run, and only this long a silence reads as a stall.
+  static constexpr std::chrono::milliseconds kFlushMinWait{250};
 
   /// Attaches a read-snapshot hub (docs/SERVING.md): every successful
   /// Flush() barrier then publishes a bit-identical clone of the sink
@@ -246,11 +227,12 @@ class IngestPipeline {
 
   /// Takes a checkpoint NOW: Flush(), serialize the sink, atomically
   /// persist it to the attached store — retrying the whole attempt per
-  /// config.checkpoint_retry (a stalled flush can heal under the
-  /// supervisor mid-backoff). Returns false (with `error` naming the
-  /// stalled shards and their queue depths, or the save failure) only
-  /// when every attempt failed — the previously persisted snapshots
-  /// are untouched either way. Producer thread only.
+  /// config.checkpoint_retry (a lane that drains again mid-backoff lets
+  /// the next attempt's flush complete). Returns false (with `error`
+  /// naming the stalled shards and their queue depths, or the save
+  /// failure) only when every attempt failed — the previously
+  /// persisted snapshots are untouched either way. Producer thread
+  /// only.
   bool Checkpoint(std::string* error = nullptr);
 
   /// Checkpoints successfully taken / failed since construction, and
@@ -270,36 +252,28 @@ class IngestPipeline {
   }
 
   /// Latched true once any bounded wait expired (dead/stuck worker);
-  /// cleared by the supervisor once every lane is live and drained.
+  /// cleared by the next Flush() that applies every accepted record.
   bool stalled() const { return stalled_.load(std::memory_order_acquire); }
 
   /// Current condition: Stalled while the stall latch is set, Degraded
-  /// while a restart cools down or any lane sheds, Healthy otherwise.
-  /// Any thread.
+  /// while any lane sheds, Healthy otherwise. Any thread.
   IngestHealth health() const;
-
-  /// Times the supervisor replaced a worker, across all lanes.
-  uint64_t WorkerRestarts() const;
 
   /// Total records rejected by overload shedding across shards.
   uint64_t TotalShed() const;
 
-  /// Fault-injection seam: while true, workers stop draining but keep
-  /// heartbeating (paused-but-alive — the supervisor does NOT restart
-  /// them) until resumed or stopped. Any thread.
-  void SuspendWorkersForTest(bool suspended) {
-    suspended_.store(suspended, std::memory_order_release);
-  }
+  /// Fault-injection seam: HangWorkerForTest(shard, suspended) on every
+  /// lane. Any thread.
+  void SuspendWorkersForTest(bool suspended);
 
-  /// Fault-injection seam: the shard's current worker exits its loop at
-  /// the next iteration, as if the thread died. With supervision on,
-  /// the supervisor joins and replaces it. Any thread.
+  /// Fault-injection seam: the shard's worker exits its loop at the next
+  /// iteration, as if the thread died. Nothing replaces it: the lane
+  /// stalls until Stop() applies its backlog inline. Any thread.
   void KillWorkerForTest(uint32_t shard);
 
-  /// Fault-injection seam: pins the shard's CURRENT worker generation
-  /// in a no-heartbeat spin (a hung thread) until released with
-  /// hung=false or Stop(). A replacement spawned by the supervisor is
-  /// NOT affected — the hang targets one generation. Any thread.
+  /// Fault-injection seam: the shard's worker spins without applying
+  /// anything (a hung or descheduled thread) until released with
+  /// hung=false or Stop(). Any thread.
   void HangWorkerForTest(uint32_t shard, bool hung);
 
   /// Flushes, stops and joins all workers. Idempotent; called by the
@@ -318,12 +292,11 @@ class IngestPipeline {
 
   /// Publishes the ltc_ingest_* families (docs/TELEMETRY.md) into
   /// `registry` from the pipeline's own counters: per-shard
-  /// enqueued / dropped / shed / drained / batches / flushes / restarts,
+  /// enqueued / dropped / shed / drained / batches / flushes,
   /// queue-depth and ring-capacity gauges, the stalled and health gauges,
   /// the checkpoint totals and the Flush()/Checkpoint() latency
   /// histograms. Every family appears even before any traffic. Any
-  /// thread, at any time: every counter it reads is atomic (the
-  /// supervisor never touches a registry — its state flows out here).
+  /// thread, at any time: every counter it reads is atomic.
   void Collect(telemetry::MetricsRegistry& registry) const;
 
   uint32_t num_shards() const {
@@ -331,8 +304,8 @@ class IngestPipeline {
   }
 
  private:
-  // One shard's lane: its ring, its worker lease, and its counters,
-  // grouped by writer so each writing thread owns its cache lines.
+  // One shard's lane: its ring, its worker, and its counters, grouped by
+  // writer so each writing thread owns its cache lines.
   struct Lane {
     explicit Lane(size_t ring_capacity) : ring(ring_capacity) {}
 
@@ -351,45 +324,16 @@ class IngestPipeline {
     size_t high_threshold = 0;  // records; fixed after construction
     size_t low_threshold = 0;
 
-    // Worker-written.
+    // Worker-written, plus the test seams the worker polls.
     alignas(64) std::atomic<uint64_t> drained{0};
     std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> heartbeat{0};  // bumped once per loop iteration
-
-    // Lease protocol. `generation` names the worker that owns the lane
-    // (supervisor-written); a worker that observes a different value
-    // exits without touching the ring again. `exited_gen` is a
-    // monotonic exit acknowledgement: an exiting worker max-stores its
-    // own generation, so a late zombie exit can never mask a newer
-    // worker's death. `hang_gen` pins one generation in the hang seam.
-    alignas(64) std::atomic<uint64_t> generation{1};
-    std::atomic<uint64_t> exited_gen{0};
-    std::atomic<uint64_t> hang_gen{0};
     std::atomic<bool> kill{false};
-    std::atomic<uint64_t> restarts{0};  // supervisor-written
-
-    // Supervisor-thread-only bookkeeping.
-    uint64_t last_heartbeat = 0;
-    uint64_t last_drained = 0;
-    uint64_t stuck_ticks = 0;        // ticks with backlog and no progress
-    uint64_t drained_at_restart = 0;
-    uint32_t restart_streak = 0;     // consecutive restarts w/o progress
-    uint64_t cooldown_left = 0;      // ticks before this lane is re-eligible
+    std::atomic<bool> hung{false};
 
     std::thread worker;
   };
 
-  void WorkerLoop(uint32_t shard_index, uint64_t my_gen);
-
-  // Supervisor thread body: tick every supervision.interval_usec until
-  // Stop(), running SuperviseTick() outside the cv lock.
-  void SupervisorLoop();
-  void SuperviseTick();
-
-  // Revokes the lane's lease (generation bump) and spawns the next
-  // worker generation. Supervisor thread only; the old thread must
-  // already be joined or moved to zombies_.
-  void RestartLane(uint32_t shard_index);
+  void WorkerLoop(uint32_t shard_index);
 
   // Pushes one shard's routed run, honouring backpressure; the records
   // not accepted are counted as dropped or shed. Returns false when a
@@ -413,19 +357,8 @@ class IngestPipeline {
   std::vector<std::unique_ptr<Lane>> lanes_;  // stable addresses for threads
   std::vector<std::vector<Record>> route_runs_;  // PushBatch scratch
   std::atomic<bool> stop_{false};
-  std::atomic<bool> suspended_{false};  // test seam: workers pause, alive
-  std::atomic<bool> stalled_{false};    // latched by expired bounded waits
+  std::atomic<bool> stalled_{false};  // latched by expired bounded waits
   bool stopped_ = false;  // producer-side latch; Stop is idempotent
-
-  // Supervisor state. Retired (hung) workers park in zombies_ until
-  // Stop() can join them; the vector is supervisor-owned while the
-  // supervisor runs and read by Stop() only after joining it.
-  std::thread supervisor_;
-  std::mutex supervisor_mutex_;
-  std::condition_variable supervisor_cv_;
-  bool supervisor_stop_ = false;          // guarded by supervisor_mutex_
-  std::vector<std::thread> zombies_;
-  std::atomic<bool> degraded_{false};     // any lane cooling down
 
   // Read-snapshot publishing (producer thread only).
   ReadSnapshotHub* snapshot_hub_ = nullptr;

@@ -24,11 +24,6 @@ void ChaosInjector::Step() {
         pipeline_->HangWorkerForTest(s, false);
       }
     }
-    if (rng_.Bernoulli(config_.kill_probability)) {
-      pipeline_->KillWorkerForTest(
-          static_cast<uint32_t>(rng_.Uniform(pipeline_->num_shards())));
-      ++kills_;
-    }
     if (rng_.Bernoulli(config_.hang_probability)) {
       const auto shard =
           static_cast<uint32_t>(rng_.Uniform(pipeline_->num_shards()));

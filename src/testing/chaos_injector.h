@@ -6,14 +6,15 @@
 // The injector does not create new fault mechanisms; it composes the
 // seams the components already expose:
 //
-//   worker death   IngestPipeline::KillWorkerForTest  (cooperative exit)
-//   worker hang    IngestPipeline::HangWorkerForTest  (frozen heartbeat)
+//   worker hang    IngestPipeline::HangWorkerForTest  (no progress)
 //   I/O faults     FailpointFs::Arm                   (recoverable bursts)
 //
 // The test calls Step() between feeding chunks; each step rolls the
-// seeded dice and may kill a worker, hang one (auto-released after
+// seeded dice and may hang a worker (auto-released after
 // `hang_release_steps` further steps), or arm a burst of recoverable
 // write/sync/rename errors on the FailpointFs under the SnapshotStore.
+// Worker death is not on the menu: nothing replaces a dead worker, so
+// it is a stall until Stop(), which the chaos run could not heal from.
 // Because every choice flows from one Rng, a chaos run is a pure
 // function of (workload, seed): a failure reproduces from its seed, the
 // same property the crash-consistency sweeps rely on.
@@ -36,16 +37,12 @@
 namespace ltc {
 
 struct ChaosConfig {
-  /// Per-Step probability of killing one uniformly chosen worker.
-  double kill_probability = 0.05;
-
   /// Per-Step probability of hanging one uniformly chosen worker (a
   /// shard already hung is left alone).
   double hang_probability = 0.05;
 
-  /// Steps after which an injected hang is released. The supervisor may
-  /// well have retired the hung generation before that — the release is
-  /// then a no-op on a zombie.
+  /// Steps after which an injected hang is released; the lane then
+  /// drains its backlog.
   uint64_t hang_release_steps = 4;
 
   /// Per-Step probability of arming one recoverable I/O fault burst
@@ -74,7 +71,7 @@ class ChaosInjector {
                 FailpointFs* fs = nullptr);
 
   /// Pipeline-less form for network-only chaos (the aggregation tier
-  /// has no local ingest workers to kill): only I/O faults and attached
+  /// has no local ingest workers to hang): only I/O faults and attached
   /// transports get the dice.
   explicit ChaosInjector(const ChaosConfig& config, FailpointFs* fs = nullptr);
 
@@ -84,7 +81,7 @@ class ChaosInjector {
   /// thread while pushers drive the transports.
   void AttachTransport(FaultyTransport* transport);
 
-  /// One round of dice: maybe kill, maybe hang, maybe arm an I/O fault
+  /// One round of dice: maybe hang, maybe arm an I/O fault
   /// burst or a network fault burst; releases hangs whose step budget
   /// expired.
   void Step();
@@ -93,7 +90,6 @@ class ChaosInjector {
   /// stays pinned; Stop() itself also releases hung threads).
   void ReleaseAll();
 
-  uint64_t kills_injected() const { return kills_; }
   uint64_t hangs_injected() const { return hangs_; }
   uint64_t io_faults_armed() const { return io_faults_; }
   uint64_t transport_faults_armed() const { return transport_faults_; }
@@ -106,7 +102,6 @@ class ChaosInjector {
   std::vector<FaultyTransport*> transports_;
   // steps left before the shard's injected hang is released; 0 = none.
   std::vector<uint64_t> hang_budget_;
-  uint64_t kills_ = 0;
   uint64_t hangs_ = 0;
   uint64_t io_faults_ = 0;
   uint64_t transport_faults_ = 0;

@@ -1,9 +1,9 @@
-// Self-healing ingest under injected failure: the supervisor's worker
-// lease protocol (restart-on-death, hang retirement), stall-latch
-// healing and the Healthy → Degraded → Stalled health machine, overload
-// shedding accounting, and the seeded end-to-end chaos run that drives
-// kills, hangs and I/O fault bursts against a live pipeline and then
-// proves the recovered state against the sequential oracle.
+// Ingest under injected failure: a dead worker stays dead and its lane
+// stalls, the stall latch clears on the next complete Flush(), the
+// Healthy → Degraded → Stalled health machine, overload shedding
+// accounting, and the seeded end-to-end chaos run that drives hangs and
+// I/O fault bursts against a live pipeline and then proves the
+// recovered state against the sequential oracle.
 //
 // Everything here composes existing seams (KillWorkerForTest,
 // HangWorkerForTest, FailpointFs) through the ChaosInjector; every run
@@ -70,66 +70,11 @@ bool WaitUntil(const std::function<bool()>& condition,
   return condition();
 }
 
-/// Fast supervisor for tests: ticks every 200us, declares a hang after
-/// `hang_ticks` frozen ticks.
-SupervisionConfig FastSupervision(uint64_t hang_ticks = 25) {
-  SupervisionConfig supervision;
-  supervision.interval_usec = 200;
-#ifdef LTC_AUDIT
-  // An audit build sweeps the whole table per insert, so a healthy
-  // worker can show no progress for several milliseconds. Widen the
-  // hang window so only a truly frozen worker (the hang seam) trips
-  // it — retiring a live-but-slow worker would race its replacement.
-  hang_ticks *= 50;
-#endif
-  supervision.hang_ticks = hang_ticks;
-  return supervision;
-}
-
 // ------------------------------------------------------- worker death
-
-TEST(ChaosSupervisor, RestartsDeadWorkerAndDrainsItsBacklog) {
-  Stream stream = MakeZipfStream(20'000, 2'000, 1.0, 20, 211);
-  LtcConfig config = TimePaced(stream, 16 * 1024);
-
-  ShardedLtc sequential(config, 2);
-  for (const Record& r : stream.records()) sequential.Insert(r.item, r.time);
-
-  ShardedLtc piped(config, 2);
-  IngestConfig ingest;
-  ingest.supervision = FastSupervision();
-  IngestPipeline pipeline(piped, ingest);
-
-  // Kill both workers mid-stream, twice, while records keep flowing.
-  std::span<const Record> records = stream.records();
-  const size_t chunk = records.size() / 4;
-  for (int part = 0; part < 4; ++part) {
-    pipeline.PushBatch(records.subspan(part * chunk,
-                                       part == 3 ? records.size() - 3 * chunk
-                                                 : chunk));
-    if (part < 2) {
-      pipeline.KillWorkerForTest(0);
-      pipeline.KillWorkerForTest(1);
-      ASSERT_TRUE(WaitUntil([&] {
-        return pipeline.WorkerRestarts() >= static_cast<uint64_t>(2 * (part + 1));
-      })) << "supervisor never replaced the killed workers";
-    }
-  }
-  EXPECT_TRUE(pipeline.Flush());
-  pipeline.Stop();
-
-  EXPECT_GE(pipeline.WorkerRestarts(), 4u);
-  EXPECT_EQ(pipeline.TotalEnqueued(), stream.size());
-  EXPECT_EQ(pipeline.TotalDropped(), 0u);
-  // No record lost, none double-applied: bit-identical to sequential.
-  EXPECT_EQ(Bytes(sequential), Bytes(piped));
-  EXPECT_TRUE(piped.CheckInvariants());
-}
 
 TEST(ChaosSupervisor, DisabledSupervisionLeavesDeadWorkersDead) {
   ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
   IngestConfig ingest;
-  ingest.supervision.enabled = false;
   ingest.stall_yield_limit = 2'000;
   IngestPipeline pipeline(sink, ingest);
 
@@ -143,48 +88,11 @@ TEST(ChaosSupervisor, DisabledSupervisionLeavesDeadWorkersDead) {
   EXPECT_FALSE(pipeline.Flush());  // bounded wait expires
   EXPECT_TRUE(pipeline.stalled());
   EXPECT_EQ(pipeline.health(), IngestHealth::kStalled);
-  EXPECT_EQ(pipeline.WorkerRestarts(), 0u);
 
   // Stop() still applies every accepted record via its inline drain.
   pipeline.Stop();
   const auto stats = pipeline.ShardStatsOf(0);
   EXPECT_EQ(stats.drained, stats.enqueued);
-}
-
-// -------------------------------------------------------- worker hang
-
-TEST(ChaosSupervisor, RetiresHungWorkerAndHandsRingToReplacement) {
-  Stream stream = MakeZipfStream(10'000, 1'000, 1.0, 10, 223);
-  LtcConfig config = TimePaced(stream, 16 * 1024);
-
-  ShardedLtc sequential(config, 1);
-  for (const Record& r : stream.records()) sequential.Insert(r.item, r.time);
-
-  ShardedLtc piped(config, 1);
-  IngestConfig ingest;
-  ingest.ring_capacity = 1 << 14;
-  ingest.supervision = FastSupervision(/*hang_ticks=*/10);
-  IngestPipeline pipeline(piped, ingest);
-
-  // Freeze generation 1 in the hang seam, then queue work behind it.
-  std::span<const Record> records = stream.records();
-  pipeline.HangWorkerForTest(0, true);
-  pipeline.PushBatch(records.subspan(0, 4'000));
-  ASSERT_TRUE(WaitUntil([&] { return pipeline.WorkerRestarts() >= 1; }))
-      << "supervisor never retired the hung worker";
-
-  // The replacement is the ring's sole consumer: it drains exactly the
-  // backlog the hung generation left behind.
-  pipeline.PushBatch(records.subspan(4'000));
-  EXPECT_TRUE(pipeline.Flush());
-  EXPECT_EQ(pipeline.TotalDropped(), 0u);
-
-  // Releasing the zombie after retirement is harmless: its lease is
-  // gone, so it exits without touching the ring.
-  pipeline.HangWorkerForTest(0, false);
-  pipeline.Stop();
-  EXPECT_EQ(Bytes(sequential), Bytes(piped));
-  EXPECT_TRUE(piped.CheckInvariants());
 }
 
 // ------------------------------------------- stall latch + health machine
@@ -194,13 +102,12 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   IngestConfig ingest;
   ingest.ring_capacity = 64;
   ingest.stall_yield_limit = 2'000;  // latch fast
-  ingest.supervision = FastSupervision(/*hang_ticks=*/25);
   IngestPipeline pipeline(sink, ingest);
   EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy);
 
   // Hang the worker, then push more than the ring holds: the bounded
-  // kBlock spin expires long before hang detection, so the stall
-  // latches and the overflow is dropped (accounted, not lost silently).
+  // kBlock spin expires, so the stall latches and the overflow is
+  // dropped (accounted, not lost silently).
   pipeline.HangWorkerForTest(0, true);
   std::vector<Record> records;
   for (ItemId i = 1; i <= 1'000; ++i) records.push_back({i, 0.0});
@@ -211,21 +118,18 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   EXPECT_EQ(pipeline.TotalEnqueued() + pipeline.TotalDropped(),
             records.size());
 
-  // The supervisor retires the hung generation, the replacement drains
-  // the ring, and the latch clears: a stall is an incident, not a
-  // permanent condition.
-  ASSERT_TRUE(WaitUntil([&] { return !pipeline.stalled(); }))
-      << "stall latch never healed";
-  EXPECT_GE(pipeline.WorkerRestarts(), 1u);
-  ASSERT_TRUE(WaitUntil(
-      [&] { return pipeline.health() == IngestHealth::kHealthy; }))
+  // Released, the worker drains the ring, and the next complete Flush()
+  // clears the latch: a stall is an incident, not a permanent condition.
+  pipeline.HangWorkerForTest(0, false);
+  ASSERT_TRUE(pipeline.Flush());
+  EXPECT_FALSE(pipeline.stalled()) << "stall latch never healed";
+  EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy)
       << "health never returned to healthy; health="
       << IngestHealthName(pipeline.health());
 
   // Post-heal the pipeline is fully usable: new pushes flush cleanly.
   pipeline.PushBatch({records.data(), 10});
   EXPECT_TRUE(pipeline.Flush());
-  pipeline.HangWorkerForTest(0, false);
   pipeline.Stop();
   const auto stats = pipeline.ShardStatsOf(0);
   EXPECT_EQ(stats.drained, stats.enqueued);
@@ -243,7 +147,7 @@ TEST(ChaosShedding, ActivatesUnderSustainedPressureAndRecovers) {
   ingest.shed.sustain = 2;
   ingest.shed.admit_one_in = 4;
   IngestPipeline pipeline(sink, ingest);
-  pipeline.SuspendWorkersForTest(true);  // paused-but-alive: no restarts
+  pipeline.SuspendWorkersForTest(true);  // paused, not dead
 
   const Record record{7, 0.0};
   std::vector<Record> fill(60, record);
@@ -333,12 +237,13 @@ TEST(ChaosShedding, MetricsExposeShedStateAndHealth) {
 
 // ------------------------------------------------- end-to-end chaos run
 
-// The acceptance run: a seeded ChaosInjector kills workers, hangs
-// workers and arms I/O fault bursts while a real stream feeds through
-// the pipeline with periodic checkpoints. Afterwards the pipeline must
-// have healed itself (Healthy, stall latch clear), the final checkpoint
-// must succeed through the backoff stack, and both the live sink and
-// the recovered snapshot must match the sequential oracle exactly.
+// The acceptance run: a seeded ChaosInjector hangs workers and arms I/O
+// fault bursts while a real stream feeds through the pipeline with
+// periodic checkpoints. Once the hangs are released and a Flush()
+// completes, the pipeline must be healed (Healthy, stall latch clear),
+// the final checkpoint must succeed through the backoff stack, and both
+// the live sink and the recovered snapshot must match the sequential
+// oracle exactly.
 TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   const auto dir = std::filesystem::path(::testing::TempDir()) / "chaos_e2e";
   std::filesystem::remove_all(dir);
@@ -353,9 +258,13 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   ShardedLtc piped(config, 4);
   IngestConfig ingest;
   ingest.ring_capacity = 1 << 12;
-  ingest.supervision = FastSupervision(/*hang_ticks=*/25);
-  // Generous checkpoint retries: mid-chaos attempts may meet a hang
-  // (stalled flush) or an armed I/O burst; backoff outlasts both.
+  // A mid-chaos flush that meets a hung lane gives up after
+  // IngestPipeline::kFlushMinWait, not after a default yield budget
+  // that CPU load stretches to seconds.
+  ingest.stall_yield_limit = 100;
+  // Generous checkpoint retries: mid-chaos attempts may meet an armed
+  // I/O burst, which backoff outlasts, or a hang (stalled flush), which
+  // lasts until a later Step releases it.
   ingest.checkpoint_retry.max_attempts = 5;
   ingest.checkpoint_retry.initial_delay_usec = 2'000;
   ingest.checkpoint_retry.max_delay_usec = 20'000;
@@ -370,7 +279,6 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   pipeline.AttachSnapshotStore(&store);
 
   ChaosConfig chaos_config;
-  chaos_config.kill_probability = 0.15;
   chaos_config.hang_probability = 0.10;
   chaos_config.io_fault_probability = 0.30;
   chaos_config.hang_release_steps = 3;
@@ -388,12 +296,13 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
       pipeline.Checkpoint();  // best-effort mid-chaos; failures counted
     }
   }
-  EXPECT_GT(chaos.kills_injected() + chaos.hangs_injected(), 0u)
+  EXPECT_GT(chaos.hangs_injected(), 0u)
       << "seed injected no worker faults; the run proves nothing";
 
-  // Let the wounds close: hangs released, dead workers replaced,
-  // backlogs drained, stall latch cleared, cooldowns expired.
+  // Let the wounds close: hangs released, backlogs drained, and the
+  // stall latch cleared by a complete flush.
   chaos.ReleaseAll();
+  pipeline.Flush();
   ASSERT_TRUE(WaitUntil([&] {
     return !pipeline.stalled() &&
            pipeline.health() == IngestHealth::kHealthy;
@@ -410,8 +319,7 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   pipeline.Collect(registry);
   pipeline.Stop();
 
-  // Self-healing was exercised and is visible in the counters.
-  EXPECT_GE(pipeline.WorkerRestarts(), 1u);
+  // Healing is visible in the counters.
   EXPECT_EQ(registry.GaugeOf("ltc_ingest_health_state", "").Value(),
             static_cast<double>(IngestHealth::kHealthy));
 
@@ -444,7 +352,6 @@ TEST(ChaosCheckpoint, StallErrorNamesShardAndQueueDepth) {
   IngestConfig ingest;
   ingest.ring_capacity = 64;
   ingest.stall_yield_limit = 2'000;
-  ingest.supervision.enabled = false;  // keep the stall latched
   IngestPipeline pipeline(sink, ingest);
 
   const auto dir = std::filesystem::path(::testing::TempDir()) / "chaos_msg";

@@ -433,7 +433,6 @@ TEST(IngestPipeline, HungLaneDropsItsOverflowWhileOtherLanesDrain) {
   IngestConfig ingest;
   ingest.ring_capacity = 256;  // far below shard 0's share of the batch
   ingest.stall_yield_limit = 200'000;
-  ingest.supervision.enabled = false;  // keep the hung worker in place
   IngestPipeline pipeline(piped, ingest);
   pipeline.HangWorkerForTest(0, true);
   pipeline.PushBatch(stream.records());
@@ -456,6 +455,35 @@ TEST(IngestPipeline, HungLaneDropsItsOverflowWhileOtherLanesDrain) {
   pipeline.Stop();
   EXPECT_EQ(pipeline.ShardStatsOf(0).drained, hung.enqueued);
   EXPECT_TRUE(piped.CheckInvariants());
+}
+
+// A paused worker that resumes within kFlushMinWait is live, not
+// stalled: even with a one-yield budget, Flush() waits out the pause.
+TEST(IngestPipeline, FlushOutwaitsAPauseShorterThanItsMinimumWait) {
+  Stream stream = MakeZipfStream(2'000, 500, 1.0, 4, 167);
+  LtcConfig config = TimePaced(stream, 16 * 1024);
+  ShardedLtc sequential(config, 2);
+  for (const Record& r : stream.records()) sequential.Insert(r.item, r.time);
+
+  ShardedLtc piped(config, 2);
+  IngestConfig ingest;
+  ingest.stall_yield_limit = 1;
+  IngestPipeline pipeline(piped, ingest);
+  pipeline.SuspendWorkersForTest(true);
+  pipeline.PushBatch(stream.records());
+  const auto pause = IngestPipeline::kFlushMinWait / 5;
+  const auto start = std::chrono::steady_clock::now();
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(pause);
+    pipeline.SuspendWorkersForTest(false);
+  });
+  EXPECT_TRUE(pipeline.Flush());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, pause);
+  releaser.join();
+  EXPECT_FALSE(pipeline.stalled());
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.TotalEnqueued(), stream.size());
+  EXPECT_EQ(Bytes(sequential), Bytes(piped));
 }
 
 }  // namespace
