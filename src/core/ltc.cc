@@ -525,39 +525,91 @@ bool Ltc::MergeFrom(const Ltc& other) {
   return true;
 }
 
+Ltc::CellLanes Ltc::LanesOf() const {
+  return {reinterpret_cast<const char*>(table_.ids().data()),
+          reinterpret_cast<const char*>(table_.freqs().data()),
+          reinterpret_cast<const char*>(table_.counters().data()),
+          reinterpret_cast<const char*>(table_.flags().data())};
+}
+
+uint32_t Ltc::LoadBucket(uint32_t b, MergeCell* cells,
+                         ItemId* occupants) const {
+  const uint32_t d = config_.cells_per_bucket;
+  ConstBucketView bucket = table_.bucket(b);
+  uint32_t n = 0;
+  for (uint32_t i = 0; i < d; ++i) {
+    LoadMergeCell(bucket.cell(i), cells[i]);
+    if (cells[i].id == 0) {
+      // Empty cells rank last, among themselves by index: significance
+      // -1 is below every occupant's, and the index stands in for the ID.
+      cells[i] = {-1.0, i, 0, 0, 0};
+      continue;
+    }
+    if (occupants != nullptr) occupants[n] = cells[i].id;
+    ++n;
+  }
+  return n;
+}
+
+uint32_t Ltc::CopyBucketIn(const CellLanes& image, uint32_t b,
+                           MergeCell* cells, ItemId* fresh) {
+  const uint32_t d = config_.cells_per_bucket;
+  const size_t base = size_t{b} * d;
+  BucketView bucket = table_.bucket(b);
+  // Updates and admissions write a cell in place, so most cells keep
+  // their ID. The cells whose ID changed are listed, new IDs in `fresh`
+  // and old ones in `gone`, without a branch.
+  ItemId* gone = fresh + d;
+  uint32_t moved = 0;
+  for (uint32_t i = 0; i < d; ++i) {
+    MergeCell& cell = cells[i];
+    cell = {0.0, image.id(base + i), image.freq(base + i),
+            image.counter(base + i), image.flag(base + i)};
+    cell.significance = SignificanceOf(cell);
+    CellRef into = bucket.cell(i);
+    fresh[moved] = cell.id;
+    gone[moved] = into.id();
+    moved += cell.id != into.id();
+    StoreCell(cell, into);
+    if (cell.id == 0) cell = {-1.0, i, 0, 0, 0};  // as LoadBucket
+  }
+  // A new ID the old bucket held sat in another cell whose ID changed.
+  uint32_t n = 0;
+  for (uint32_t k = 0; k < moved; ++k) {
+    const ItemId id = fresh[k];
+    if (id != 0 && std::find(gone, gone + moved, id) == gone + moved) {
+      fresh[n++] = id;
+    }
+  }
+  return n;
+}
+
+uint32_t Ltc::RankCells(const MergeCell* cells, uint32_t d,
+                        uint32_t* order) {
+  uint32_t occupied = 0;
+  for (uint32_t i = 0; i < d; ++i) occupied += cells[i].significance >= 0.0;
+  // Insertion sort from the bucket's previous order, which a push
+  // mostly leaves in place; a new lane's zeros become 0..d-1 first.
+  if (d > 1 && order[0] == order[1]) std::iota(order, order + d, 0u);
+  for (uint32_t i = 1; i < d; ++i) {
+    const uint32_t at = order[i];
+    uint32_t pos = i;
+    for (; pos > 0 && RanksBefore(cells[at], cells[order[pos - 1]]); --pos) {
+      order[pos] = order[pos - 1];
+    }
+    order[pos] = at;
+  }
+  return occupied;
+}
+
 void Ltc::RankBuckets(std::span<const uint32_t> buckets,
-                      std::span<uint32_t> rank,
-                      std::span<IdSketch> sketches) const {
+                      std::span<uint32_t> rank) const {
   assert(rank.size() == table_.num_cells());
-  assert(sketches.empty() || sketches.size() == num_buckets_);
   const uint32_t d = config_.cells_per_bucket;
   std::vector<MergeCell> cells(d);
   for (uint32_t b : buckets) {
-    // Empty cells rank last, among themselves by index: significance -1
-    // is below every occupant's, and the index stands in for the ID.
-    ConstBucketView bucket = table_.bucket(b);
-    IdSketch sketch;
-    for (uint32_t i = 0; i < d; ++i) {
-      LoadMergeCell(bucket.cell(i), cells[i]);
-      if (cells[i].id == 0) {
-        cells[i] = {-1.0, i, 0, 0, 0};
-      } else {
-        sketch.Add(cells[i].id);
-      }
-    }
-    if (!sketches.empty()) sketches[b] = sketch;
-    // Insertion sort from the bucket's previous order, which a push
-    // mostly leaves in place; a new lane's zeros become 0..d-1 first.
-    uint32_t* order = rank.data() + size_t{b} * d;
-    if (d > 1 && order[0] == order[1]) std::iota(order, order + d, 0u);
-    for (uint32_t i = 1; i < d; ++i) {
-      const uint32_t at = order[i];
-      uint32_t pos = i;
-      for (; pos > 0 && RanksBefore(cells[at], cells[order[pos - 1]]); --pos) {
-        order[pos] = order[pos - 1];
-      }
-      order[pos] = at;
-    }
+    LoadBucket(b, cells.data(), nullptr);
+    RankCells(cells.data(), d, rank.data() + size_t{b} * d);
   }
 }
 
@@ -589,17 +641,11 @@ bool Ltc::SourcesShareAnId(std::span<const RankedSource> sources,
 }
 
 bool Ltc::PusherSharesAnId(std::span<const RankedSource> sources,
-                           size_t pusher, uint32_t b) {
-  IdSketch others;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    if (s != pusher) others.Add(sources[s].sketches[b]);
-  }
-  ConstBucketView mine = sources[pusher].table->table_.bucket(b);
-  for (uint32_t i = 0; i < mine.size(); ++i) {
-    const ItemId id = mine.cell(i).id();
-    if (id == 0 || !others.MayHold(id)) continue;
+                           size_t pusher, uint32_t b,
+                           std::span<const ItemId> ids) {
+  for (const ItemId id : ids) {
     for (size_t s = 0; s < sources.size(); ++s) {
-      if (s != pusher && sources[s].sketches[b].MayHold(id) &&
+      if (s != pusher &&
           sources[s].table->table_.bucket(b).Probe(id).match >= 0) {
         return true;
       }
@@ -608,74 +654,64 @@ bool Ltc::PusherSharesAnId(std::span<const RankedSource> sources,
   return false;
 }
 
-bool Ltc::RefoldAgainstPusher(const RankedSource& pusher, bool alone,
+bool Ltc::RefoldAgainstPusher(const PushedRun& run, uint8_t slot, bool alone,
                               uint32_t b, FoldState& state,
                               MergeScratch& scratch) {
   const uint32_t d = config_.cells_per_bucket;
-  const size_t base = size_t{b} * d;
   BucketView bucket = table_.bucket(b);
-  uint8_t* tags = state.tags.data() + base;
+  uint8_t* tags = state.tags.data() + size_t{b} * d;
+  // The cutoff test. A full old bucket may have left cells of the other
+  // sources out, each ranked after its d-th cell; the result is exact
+  // only if it is full too and its own d-th cell ranks at or before
+  // that one. With no other source, nothing was left out.
+  const bool cut = !alone && bucket.cell(d - 1).id() != 0;
+  MergeCell old_last{};
+  if (cut) LoadMergeCell(bucket.cell(d - 1), old_last);
   // The other sources' share of the old bucket, best first: the old
   // bucket is ranked, so dropping the pusher's cells keeps the order.
-  MergeCell* rest = scratch.cells.data();
-  uint8_t* rest_tags = scratch.tags.data();
+  // Every cell is loaded and the kept ones advance the end.
+  MergeCell* cells = scratch.cells.data();
+  uint8_t* cell_tags = scratch.tags.data();
   uint32_t kept = 0;
   for (uint32_t i = 0; i < d; ++i) {
     ConstCellRef cell = bucket.cell(i);
-    if (cell.id() == 0 || tags[i] == pusher.slot) continue;
-    LoadMergeCell(cell, rest[kept]);
-    rest_tags[kept++] = tags[i];
+    LoadMergeCell(cell, cells[kept]);
+    cell_tags[kept] = tags[i];
+    kept += static_cast<uint32_t>((cell.id() != 0) & (tags[i] != slot));
   }
-  // Two-way merge with the pusher's run; a spent run's head ranks below
-  // every occupant (significances are >= 0), so it is never taken.
-  const MergeCell spent{-1.0, 0, 0, 0, 0};
-  MergeCell* merged = rest + d;
-  uint8_t* merged_tags = rest_tags + d;
-  const Ltc& theirs = *pusher.table;
-  uint32_t taken = 0;
-  MergeCell head = spent;
-  const auto load_head = [&] {
-    head = spent;
-    if (taken == d) return;
-    ConstCellRef cell = theirs.table_.cell(base + pusher.rank[base + taken]);
-    if (cell.id() != 0) LoadMergeCell(cell, head);
-  };
-  load_head();
+  const uint32_t n = std::min(d, kept + run.size);
+  if (cut && n < d) return false;
+  // Then the pusher's run, from d + 1 on. Each run ends in a marker at
+  // significance -1, which ranks after every occupant, so a spent run's
+  // head is never taken.
+  const MergeCell end{-1.0, 0, 0, 0, 0};
+  cells[kept] = end;
+  const uint32_t ours = d + 1;
+  for (uint32_t k = 0; k < run.size; ++k) {
+    cells[ours + k] = run.cells[run.order[k]];
+    cell_tags[ours + k] = slot;
+  }
+  cells[ours + run.size] = end;
+  // The two-way merge: each step stores the better of the two heads.
+  // The head is picked by index, so the step compiles to a conditional
+  // move rather than a branch the compare's coin flip would mispredict.
   uint32_t from_rest = 0;
-  uint32_t n = 0;
-  for (; n < d; ++n) {
-    if (from_rest < kept && RanksBefore(rest[from_rest], head)) {
-      merged[n] = rest[from_rest];
-      merged_tags[n] = rest_tags[from_rest++];
-    } else if (head.id != 0) {
-      merged[n] = head;
-      merged_tags[n] = pusher.slot;
-      ++taken;
-      load_head();
-    } else {
-      break;
-    }
-  }
-  // The cutoff test. A full old bucket may have left cells of the other
-  // sources out, each ranked after its d-th cell; the result is exact
-  // only if its own d-th cell ranks at or before that one. With no
-  // other source, nothing was left out.
-  if (!alone && bucket.cell(d - 1).id() != 0) {
-    MergeCell old_last;
-    LoadMergeCell(bucket.cell(d - 1), old_last);
-    if (n < d || RanksBefore(old_last, merged[d - 1])) return false;
-  }
+  uint32_t from_run = ours;
+  uint32_t last = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    StoreCell(merged[i], bucket.cell(i));
-    tags[i] = merged_tags[i];
+    const bool take_rest = RanksBefore(cells[from_rest], cells[from_run]);
+    last = take_rest ? from_rest : from_run;
+    StoreCell(cells[last], bucket.cell(i));
+    tags[i] = cell_tags[last];
+    from_rest += take_rest;
+    from_run += !take_rest;
   }
   for (uint32_t i = n; i < d; ++i) bucket.cell(i).Clear();
-  return true;
+  return !cut || !RanksBefore(old_last, cells[last]);
 }
 
 void Ltc::RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
-                           std::span<MergeCell> heads,
-                           std::span<uint32_t> taken, uint8_t* tags) {
+                           MergeScratch& scratch, uint8_t* tags) {
   const uint32_t d = config_.cells_per_bucket;
   const size_t base = size_t{b} * d;
   const size_t n = sources.size();
@@ -683,6 +719,8 @@ void Ltc::RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
   // Per source: how much of its ranked run is taken, and the next cell
   // of it, loaded. A spent run's head ranks below every occupant
   // (significances are >= 0), so it is never taken.
+  std::span<MergeCell> heads(scratch.heads);
+  std::span<uint32_t> taken(scratch.taken);
   const MergeCell spent{-1.0, 0, 0, 0, 0};
   std::fill(taken.begin(), taken.end(), 0u);
   const auto load_head = [&](size_t s) {
@@ -709,53 +747,102 @@ void Ltc::RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
   for (uint32_t i = kept; i < d; ++i) bucket.cell(i).Clear();
 }
 
+uint64_t Ltc::RefoldBucket(std::span<const RankedSource> sources, uint32_t b,
+                           FoldState* state, size_t pusher,
+                           const PushedRun& run, std::span<const ItemId> fresh,
+                           MergeScratch& scratch) {
+  const uint32_t d = config_.cells_per_bucket;
+  uint8_t* tags =
+      state != nullptr ? state->tags.data() + size_t{b} * d : nullptr;
+  bool shared;
+  if (state != nullptr && state->disjoint[b]) {
+    shared = PusherSharesAnId(sources, pusher, b, fresh);
+    if (!shared && RefoldAgainstPusher(run, sources[pusher].slot,
+                                       sources.size() == 1, b, *state,
+                                       scratch)) {
+      ++state->paths.two_way;
+      return 0;
+    }
+  } else {
+    shared = SourcesShareAnId(sources, b);
+  }
+  if (!shared) {
+    RefoldAllSources(sources, b, scratch, tags);
+    if (state != nullptr) {
+      state->disjoint[b] = 1;
+      ++state->paths.n_way;
+    }
+    return 0;
+  }
+  // MergeFrom's own steps, each counted when it adds a shared ID.
+  BucketView bucket = table_.bucket(b);
+  for (uint32_t i = 0; i < d; ++i) bucket.cell(i).Clear();
+  uint64_t matched_steps = 0;
+  for (const RankedSource& source : sources) {
+    matched_steps +=
+        MergeBucket(bucket, source.table->table_.bucket(b), scratch);
+  }
+  if (state != nullptr) {
+    state->disjoint[b] = 0;
+    ++state->paths.stepwise;
+  }
+  return matched_steps;
+}
+
+void Ltc::RefoldScalars(std::span<const RankedSource> sources) {
+  current_period_ = 0;
+  merged_history_periods_ = 0;
+  for (const RankedSource& source : sources) MergeScalarsFrom(*source.table);
+}
+
 uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
                             std::span<const uint32_t> buckets,
                             FoldState* state, size_t pusher) {
   const uint32_t d = config_.cells_per_bucket;
-  MergeScratch scratch(d);
-  std::vector<MergeCell> heads(sources.size());
-  std::vector<uint32_t> taken(sources.size());
-  assert(state == nullptr ||
-         std::all_of(sources.begin(), sources.end(), [&](const auto& source) {
-           return source.sketches.size() == num_buckets_;
-         }));
+  MergeScratch scratch(d, sources.size());
   uint64_t matched_steps = 0;
-  RefoldPaths uncounted;
-  RefoldPaths& paths = state != nullptr ? state->paths : uncounted;
   for (uint32_t b : buckets) {
-    uint8_t* tags =
-        state != nullptr ? state->tags.data() + size_t{b} * d : nullptr;
-    bool shared;
+    // The two-way path reads the pusher's ranked bucket, every ID of it
+    // to be checked.
+    PushedRun run;
     if (state != nullptr && state->disjoint[b]) {
-      shared = PusherSharesAnId(sources, pusher, b);
-      if (!shared && RefoldAgainstPusher(sources[pusher], sources.size() == 1,
-                                         b, *state, scratch)) {
-        ++paths.two_way;
-        continue;
-      }
-    } else {
-      shared = SourcesShareAnId(sources, b);
+      const RankedSource& pushed = sources[pusher];
+      run.cells = scratch.run.data();
+      run.order = pushed.rank.data() + size_t{b} * d;
+      run.size =
+          pushed.table->LoadBucket(b, scratch.run.data(), scratch.ids.data());
     }
-    if (!shared) {
-      RefoldAllSources(sources, b, heads, taken, tags);
-      if (state != nullptr) state->disjoint[b] = 1;
-      ++paths.n_way;
-      continue;
-    }
-    // MergeFrom's own steps, each counted when it adds a shared ID.
-    BucketView bucket = table_.bucket(b);
-    for (uint32_t i = 0; i < d; ++i) bucket.cell(i).Clear();
-    for (const RankedSource& source : sources) {
-      matched_steps +=
-          MergeBucket(bucket, source.table->table_.bucket(b), scratch);
-    }
-    if (state != nullptr) state->disjoint[b] = 0;
-    ++paths.stepwise;
+    matched_steps += RefoldBucket(sources, b, state, pusher, run,
+                                  {scratch.ids.data(), run.size}, scratch);
   }
-  current_period_ = 0;
-  merged_history_periods_ = 0;
-  for (const RankedSource& source : sources) MergeScalarsFrom(*source.table);
+  RefoldScalars(sources);
+  return matched_steps;
+}
+
+uint64_t Ltc::RefoldPush(std::span<const RankedSource> sources,
+                         std::span<const uint32_t> buckets, FoldState* state,
+                         size_t pusher, const PushedSource& pushed,
+                         std::string_view image) {
+  Ltc& table = *pushed.table;
+  assert(sources[pusher].table == &table);
+  const uint32_t d = config_.cells_per_bucket;
+  MergeScratch scratch(d, sources.size());
+  const CellLanes lanes =
+      image.empty() ? CellLanes{} : LanesOf(image, table.num_cells());
+  if (!image.empty()) table.CopyScalarsIn(image);
+  uint64_t matched_steps = 0;
+  for (uint32_t b : buckets) {
+    MergeCell* cells = scratch.run.data();
+    ItemId* fresh = scratch.ids.data();
+    const uint32_t fresh_count = image.empty()
+                                     ? table.LoadBucket(b, cells, fresh)
+                                     : table.CopyBucketIn(lanes, b, cells, fresh);
+    uint32_t* order = pushed.rank.data() + size_t{b} * d;
+    const PushedRun run{cells, order, RankCells(cells, d, order)};
+    matched_steps += RefoldBucket(sources, b, state, pusher, run,
+                                  {fresh, fresh_count}, scratch);
+  }
+  RefoldScalars(sources);
   return matched_steps;
 }
 
@@ -858,8 +945,15 @@ bool Ltc::ClockStateHolds(const LtcConfig& config, uint64_t m,
   return scan_cursor == std::min(target, m);
 }
 
-Ltc::ImageUpdate Ltc::UpdateFromImage(std::string_view image,
-                                      std::vector<uint32_t>& changed) {
+Ltc::CellLanes Ltc::LanesOf(std::string_view image, size_t num_cells) {
+  const char* ids = image.data() + kLtcHeaderBytes + kLtcScalarBytes;
+  const char* freqs = ids + num_cells * sizeof(uint64_t);
+  const char* counters = freqs + num_cells * sizeof(uint32_t);
+  return {ids, freqs, counters, counters + num_cells * sizeof(uint32_t)};
+}
+
+Ltc::ImageUpdate Ltc::CheckImage(std::string_view image,
+                                 std::vector<uint32_t>& changed) const {
   changed.clear();
   BinaryWriter header;
   SerializeHeader(header);
@@ -888,60 +982,49 @@ Ltc::ImageUpdate Ltc::UpdateFromImage(std::string_view image,
       cap < CounterCap(config_, current_period_, merged_history_periods_);
 
   const uint32_t d = config_.cells_per_bucket;
-  const char* lanes = image.data() + kLtcHeaderBytes + kLtcScalarBytes;
-  const char* ids = lanes;
-  const char* freqs = ids + m * sizeof(uint64_t);
-  const char* counters = freqs + m * sizeof(uint32_t);
-  const char* flags = counters + m * sizeof(uint32_t);
-  // One bucket's cells, copied out of the image (whose lanes sit at any
-  // alignment) so the checks read them through aligned views.
-  std::vector<uint64_t> bucket_ids(d);
-  std::vector<uint32_t> bucket_freqs(d);
-  std::vector<uint32_t> bucket_counters(d);
-  std::vector<uint8_t> bucket_flags(d);
-  const ConstBucketView staged(bucket_ids.data(), bucket_freqs.data(),
-                               bucket_counters.data(), bucket_flags.data(),
-                               d);
+  const CellLanes theirs = LanesOf(image, m);
+  const CellLanes mine = LanesOf();
+  const auto same_lane = [&](const char* a, const char* b, size_t width,
+                             size_t base) {
+    return std::memcmp(a + base * width, b + base * width, d * width) == 0;
+  };
   for (uint32_t b = 0; b < num_buckets_; ++b) {
     const size_t base = size_t{b} * d;
+    // Arrivals move frequencies first, so that lane most often differs.
     const bool same =
-        std::memcmp(ids + base * sizeof(uint64_t), table_.ids().data() + base,
-                    d * sizeof(uint64_t)) == 0 &&
-        std::memcmp(freqs + base * sizeof(uint32_t),
-                    table_.freqs().data() + base, d * sizeof(uint32_t)) == 0 &&
-        std::memcmp(counters + base * sizeof(uint32_t),
-                    table_.counters().data() + base,
-                    d * sizeof(uint32_t)) == 0 &&
-        std::memcmp(flags + base, table_.flags().data() + base, d) == 0;
+        same_lane(theirs.freqs, mine.freqs, sizeof(uint32_t), base) &&
+        same_lane(theirs.ids, mine.ids, sizeof(uint64_t), base) &&
+        same_lane(theirs.counters, mine.counters, sizeof(uint32_t), base) &&
+        same_lane(theirs.flags, mine.flags, sizeof(uint8_t), base);
     if (same && !check_all) continue;
-    std::memcpy(bucket_ids.data(), ids + base * sizeof(uint64_t),
-                d * sizeof(uint64_t));
-    std::memcpy(bucket_freqs.data(), freqs + base * sizeof(uint32_t),
-                d * sizeof(uint32_t));
-    std::memcpy(bucket_counters.data(), counters + base * sizeof(uint32_t),
-                d * sizeof(uint32_t));
-    std::memcpy(bucket_flags.data(), flags + base, d);
-    if (!BucketHolds(staged, b, cap)) return ImageUpdate::kCorrupt;
+    if (!BucketHolds(theirs, b, cap, table_.ids().data())) {
+      return ImageUpdate::kCorrupt;
+    }
     if (!same) changed.push_back(b);
   }
+  return ImageUpdate::kUpdated;
+}
 
-  // Every check passed: copy in the changed buckets and the scalars.
-  for (uint32_t b : changed) {
-    const size_t base = size_t{b} * d;
-    std::memcpy(table_.ids().data() + base, ids + base * sizeof(uint64_t),
-                d * sizeof(uint64_t));
-    std::memcpy(table_.freqs().data() + base, freqs + base * sizeof(uint32_t),
-                d * sizeof(uint32_t));
-    std::memcpy(table_.counters().data() + base,
-                counters + base * sizeof(uint32_t), d * sizeof(uint32_t));
-    std::memcpy(table_.flags().data() + base, flags + base, d);
-  }
-  items_seen_ = items_seen;
-  current_period_ = period;
-  scan_cursor_ = scan_cursor;
-  last_time_ = last_time;
-  merged_history_periods_ = merged_history;
+void Ltc::CopyScalarsIn(std::string_view image) {
+  BinaryReader reader(image.substr(kLtcHeaderBytes));
+  items_seen_ = reader.GetU64();
+  current_period_ = reader.GetU64();
+  scan_cursor_ = reader.GetU64();
+  last_time_ = reader.GetDouble();
+  merged_history_periods_ = reader.GetU64();
   ResetClockStepper();
+}
+
+Ltc::ImageUpdate Ltc::UpdateFromImage(std::string_view image,
+                                      std::vector<uint32_t>& changed) {
+  const ImageUpdate verdict = CheckImage(image, changed);
+  if (verdict != ImageUpdate::kUpdated) return verdict;
+  CopyScalarsIn(image);
+  const CellLanes lanes = LanesOf(image, table_.num_cells());
+  MergeScratch scratch(config_.cells_per_bucket);
+  for (uint32_t b : changed) {
+    CopyBucketIn(lanes, b, scratch.run.data(), scratch.ids.data());
+  }
   return ImageUpdate::kUpdated;
 }
 
@@ -1184,27 +1267,37 @@ void Ltc::AuditAfterInsert(ItemId item) {
 }
 #endif  // LTC_AUDIT
 
-bool Ltc::BucketHolds(ConstBucketView bucket, uint32_t b,
-                      uint64_t cap) const {
+bool Ltc::BucketHolds(const CellLanes& cells, uint32_t b, uint64_t cap,
+                      const uint64_t* held) const {
   const uint8_t allowed = config_.deviation_eliminator ? 0x3 : 0x1;
-  const uint32_t d = bucket.size();
-  for (uint32_t i = 0; i < d; ++i) {
-    ConstCellRef cell = bucket.cell(i);
-    if (cell.flags() & ~allowed) return false;
-    if (cell.id() == 0) {
-      if (cell.freq() != 0 || cell.counter() != 0 || cell.flags() != 0) {
-        return false;
-      }
+  const uint32_t d = config_.cells_per_bucket;
+  const size_t base = size_t{b} * d;
+  // A one-word sketch of the IDs met so far: a clear bit proves an ID
+  // met for the first time.
+  uint64_t seen = 0;
+  for (size_t at = base; at < base + d; ++at) {
+    const ItemId id = cells.id(at);
+    const uint8_t flags = cells.flag(at);
+    const uint32_t counter = cells.counter(at);
+    if ((flags & ~allowed) != 0 || counter > cap) return false;
+    if (id == 0) {
+      if (cells.freq(at) != 0 || counter != 0 || flags != 0) return false;
       continue;
     }
     // Bucket integrity: every occupant must hash to the bucket it sits
     // in, and appear there only once. Catches corrupt checkpoints at
     // Deserialize time (which calls this) before any query trusts them.
-    if (BucketOf(cell.id()) != b) return false;
-    for (uint32_t j = i + 1; j < d; ++j) {
-      if (bucket.cell(j).id() == cell.id()) return false;
+    // An ID held in the same cell of `held` passed the route check.
+    if ((held == nullptr || held[at] != id) && BucketOf(id) != b) {
+      return false;
     }
-    if (cell.counter() > cap) return false;
+    const uint64_t bit = uint64_t{1} << (IdSketch::BitOf(id) & 63);
+    if ((seen & bit) != 0) {
+      for (size_t j = base; j < at; ++j) {
+        if (cells.id(j) == id) return false;
+      }
+    }
+    seen |= bit;
   }
   return true;
 }
@@ -1212,8 +1305,9 @@ bool Ltc::BucketHolds(ConstBucketView bucket, uint32_t b,
 bool Ltc::CheckInvariants() const {
   const uint64_t cap =
       CounterCap(config_, current_period_, merged_history_periods_);
+  const CellLanes lanes = LanesOf();
   for (uint32_t b = 0; b < num_buckets_; ++b) {
-    if (!BucketHolds(table_.bucket(b), b, cap)) return false;
+    if (!BucketHolds(lanes, b, cap)) return false;
   }
   return scan_cursor_ <= table_.num_cells();
 }

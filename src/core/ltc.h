@@ -35,6 +35,7 @@
 #define LTC_CORE_LTC_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -254,27 +255,6 @@ class Ltc final : public SignificanceEstimator {
   /// aggregation tier surfaces as a typed response, never UB.
   [[nodiscard]] bool MergeFrom(const Ltc& other);
 
-  /// A 256-bit filter of the IDs in one bucket: bit = top byte of a
-  /// multiplicative hash of the ID. A clear bit proves an ID absent.
-  struct IdSketch {
-    uint64_t words[4] = {};
-
-    static uint32_t BitOf(ItemId id) {
-      return static_cast<uint32_t>(id * uint64_t{0x9E3779B97F4A7C15} >> 56);
-    }
-    void Add(ItemId id) {
-      const uint32_t bit = BitOf(id);
-      words[bit >> 6] |= uint64_t{1} << (bit & 63);
-    }
-    void Add(const IdSketch& other) {
-      for (int w = 0; w < 4; ++w) words[w] |= other.words[w];
-    }
-    bool MayHold(ItemId id) const {
-      const uint32_t bit = BitOf(id);
-      return (words[bit >> 6] >> (bit & 63)) & 1;
-    }
-  };
-
   /// Writes the rank order of each listed bucket into `rank`, a lane of
   /// num_cells() entries laid out like the table (bucket b's entries at
   /// [b·d, (b+1)·d)): the bucket's cell indices, occupied cells best
@@ -282,20 +262,16 @@ class Ltc final : public SignificanceEstimator {
   /// listed bucket's entries must be zeros (a new lane) or what an
   /// earlier call left there; re-ranking sorts from that earlier order,
   /// so a bucket that barely changed costs about d compares. The
-  /// entries of unlisted buckets are left as they are. When `sketches`
-  /// is not empty (one entry per bucket), each listed bucket's entry is
-  /// rewritten as the IdSketch of its occupants.
-  void RankBuckets(std::span<const uint32_t> buckets, std::span<uint32_t> rank,
-                   std::span<IdSketch> sketches = {}) const;
+  /// entries of unlisted buckets are left as they are.
+  void RankBuckets(std::span<const uint32_t> buckets,
+                   std::span<uint32_t> rank) const;
 
   /// One input of RefoldBuckets: a table and its rank lane, which
   /// RankBuckets has brought up to date for every bucket. The two-way
-  /// path (FoldState) also needs the source's per-bucket IdSketches,
-  /// kept current the same way, and a slot no other source has.
+  /// path (FoldState) also needs a slot no other source has.
   struct RankedSource {
     const Ltc* table;
     std::span<const uint32_t> rank;
-    std::span<const IdSketch> sketches = {};
     uint8_t slot = 0;
   };
 
@@ -335,14 +311,14 @@ class Ltc final : public SignificanceEstimator {
   /// straight into the bucket by one of two merges of ranked runs:
   ///
   ///  * two-way, when `state` is given and the bucket was disjoint: the
-  ///    list differed only in source `pusher`, whose IDs are checked
-  ///    against the other sources' IdSketches (an exact probe on a
-  ///    hit). The old bucket less the pusher's tagged cells is merged
-  ///    with the pusher's run. The result stands when the pusher is
-  ///    the only source, when the old bucket was not full, or when its
-  ///    new d-th cell ranks at or before the old d-th: every other
-  ///    source's cell the old bucket left out ranks after the old d-th,
-  ///    so none of them can enter. Else:
+  ///    list differed only in source `pusher`, whose IDs are probed
+  ///    for in the other sources' buckets. The old bucket less the
+  ///    pusher's tagged cells is merged with the pusher's run, by a
+  ///    branch-free select of the better head. The result stands when
+  ///    the pusher is the only source, when the old bucket was not
+  ///    full, or when its new d-th cell ranks at or before the old
+  ///    d-th: every other source's cell the old bucket left out ranks
+  ///    after the old d-th, so none of them can enter. Else:
   ///  * N-way, over every source's run; a 256-bit sketch of the IDs,
   ///    then an exact compare, finds the shared IDs first unless the
   ///    two-way check already ruled them out.
@@ -358,28 +334,59 @@ class Ltc final : public SignificanceEstimator {
                          std::span<const uint32_t> buckets,
                          FoldState* state = nullptr, size_t pusher = 0);
 
+  /// The writable side of the pushing source in RefoldPush: the table
+  /// and rank lane that sources[pusher] views.
+  struct PushedSource {
+    Ltc* table;
+    std::span<uint32_t> rank;
+  };
+
+  /// The aggregation tier's push apply (server/aggregator.h), one walk
+  /// over `buckets`. The result is what these would leave, in order:
+  /// pushed.table->UpdateFromImage(image) (skipped for an empty image,
+  /// when the table already holds its new cells), pushed.table->
+  /// RankBuckets(buckets, pushed.rank), and
+  /// RefoldBuckets(sources, buckets, state, pusher). Per listed bucket
+  /// the walk copies the image's cells in, computes each significance
+  /// once, re-ranks the bucket, and refolds it against the pushed run.
+  /// The two-way share check probes only the IDs the pushed bucket did
+  /// not hold before: the others were in it at the last fold, which
+  /// found the bucket disjoint. A non-empty `image` must have passed
+  /// pushed.table->CheckImage naming `buckets`; an empty one counts
+  /// every ID as new.
+  uint64_t RefoldPush(std::span<const RankedSource> sources,
+                      std::span<const uint32_t> buckets, FoldState* state,
+                      size_t pusher, const PushedSource& pushed,
+                      std::string_view image);
+
   /// The buckets whose cells differ, lane by lane, between this table
   /// and `other`, ascending. `other` must satisfy CanMergeWith(*this).
   std::vector<uint32_t> ChangedBuckets(const Ltc& other) const;
 
-  /// What UpdateFromImage did with an image.
+  /// What CheckImage found in an image, and UpdateFromImage did with it.
   enum class ImageUpdate {
-    kUpdated,    // applied; `changed` lists the buckets that moved
+    kUpdated,    // valid; `changed` lists the buckets that move
     kCorrupt,    // same header, but Deserialize would reject the image
     kNewHeader,  // the image's config bytes differ: use Deserialize
   };
 
-  /// Makes this table equal to Deserialize(image), in place, when the
-  /// image (a Serialize output) carries this table's exact header: the
-  /// same format version and config bytes. The image's lanes are diffed
-  /// against the table bucket by bucket, and every check Deserialize
-  /// (with AtEnd) runs is run on the new scalars and on each changed
-  /// bucket; unchanged buckets passed them when they were written, so
-  /// only a lower counter cap makes them be checked again. Only when
-  /// every check passes are the changed buckets and the scalars copied
-  /// in; kCorrupt leaves the table untouched. Lanes are read with
-  /// memcpy: in a network frame they start at any offset. `changed`
-  /// receives the buckets that differed, ascending.
+  /// Judges an image (a Serialize output) that carries this table's
+  /// exact header, the same format version and config bytes, as
+  /// Deserialize (with AtEnd) would, and writes nothing. One pass reads
+  /// the image's lanes where they lie and diffs them against the table
+  /// bucket by bucket. Every check Deserialize runs is run on the new
+  /// scalars and on each changed bucket; unchanged buckets passed them
+  /// when they were written, so only a lower counter cap makes them be
+  /// checked again, and an ID the table holds in the same cell is known
+  /// to route there. Lanes are read with memcpy: in a network frame
+  /// they start at any offset. `changed` receives the buckets that
+  /// differ, ascending.
+  ImageUpdate CheckImage(std::string_view image,
+                         std::vector<uint32_t>& changed) const;
+
+  /// Makes this table equal to Deserialize(image), in place: CheckImage,
+  /// then, only if it passes, the changed buckets and the scalars are
+  /// copied in. kCorrupt leaves the table untouched.
   ImageUpdate UpdateFromImage(std::string_view image,
                               std::vector<uint32_t>& changed);
 
@@ -488,11 +495,25 @@ class Ltc final : public SignificanceEstimator {
 
   /// Working space of the merge kernels, allocated once per fold.
   struct MergeScratch {
-    explicit MergeScratch(uint32_t d)
-        : cells(2 * size_t{d}), order(d), tags(2 * size_t{d}) {}
-    std::vector<MergeCell> cells;  // my d cells, then their unmatched
+    explicit MergeScratch(uint32_t d, size_t sources = 0)
+        : cells(2 * size_t{d} + 2),
+          order(d),
+          tags(2 * size_t{d} + 2),
+          run(d),
+          ids(2 * size_t{d}),
+          heads(sources),
+          taken(sources) {}
+    // MergeBucket: my d cells, then their unmatched. The two-way merge:
+    // the old bucket's cells of the other sources, then the pushed run,
+    // each with an end marker.
+    std::vector<MergeCell> cells;
     std::vector<uint32_t> order;   // ranked indices into cells, best first
-    std::vector<uint8_t> tags;     // source slot of each of `cells`
+    std::vector<uint8_t> tags;     // the two-way merge: each cell's slot
+    std::vector<MergeCell> run;    // the pushed bucket, cell by cell
+    std::vector<ItemId> ids;       // the pushed IDs the share check probes,
+                                   // then CopyBucketIn's replaced IDs
+    std::vector<MergeCell> heads;  // N-way: each source's next cell
+    std::vector<uint32_t> taken;   // N-way: how much of each run is taken
   };
 
   /// MergeFrom's kernel, one bucket: folds `theirs` into `mine`.
@@ -502,28 +523,114 @@ class Ltc final : public SignificanceEstimator {
   bool MergeBucket(BucketView mine, ConstBucketView theirs,
                    MergeScratch& scratch) const;
 
+  /// The four lanes of a table or of a v3 image, read with memcpy, so a
+  /// lane may start at any offset.
+  struct CellLanes {
+    const char* ids;
+    const char* freqs;
+    const char* counters;
+    const char* flags;
+
+    template <typename T>
+    static T Load(const char* lane, size_t i) {
+      T value;
+      std::memcpy(&value, lane + i * sizeof(T), sizeof(T));
+      return value;
+    }
+    uint64_t id(size_t i) const { return Load<uint64_t>(ids, i); }
+    uint32_t freq(size_t i) const { return Load<uint32_t>(freqs, i); }
+    uint32_t counter(size_t i) const { return Load<uint32_t>(counters, i); }
+    uint8_t flag(size_t i) const { return Load<uint8_t>(flags, i); }
+  };
+  CellLanes LanesOf() const;
+  /// The lanes of a v3 image of a table with `num_cells` cells.
+  static CellLanes LanesOf(std::string_view image, size_t num_cells);
+
+  /// Bucket b's cells in rank form, in cell order: each occupant with
+  /// its significance, each empty cell as {-1, its index}, which ranks
+  /// after every occupant. Writes the occupants' IDs to `occupants`
+  /// (when not null) and returns how many there are.
+  uint32_t LoadBucket(uint32_t b, MergeCell* cells, ItemId* occupants) const;
+
+  /// Copies bucket b of a checked image into the table and loads the
+  /// new cells as LoadBucket does. Writes to `fresh` (2·d entries, the
+  /// second half scratch) the new IDs the old bucket did not hold, and
+  /// returns how many there are.
+  uint32_t CopyBucketIn(const CellLanes& image, uint32_t b, MergeCell* cells,
+                        ItemId* fresh);
+
+  /// RankBuckets' kernel: reorders `order`, one bucket's d cell indices
+  /// (zeros for a new lane), by RanksBefore over LoadBucket's `cells`,
+  /// insertion-sorting from the previous order. Returns the number of
+  /// occupants.
+  static uint32_t RankCells(const MergeCell* cells, uint32_t d,
+                            uint32_t* order);
+
+  /// The pushing source's bucket, ranked: cells[order[0..size)] are its
+  /// occupants best first.
+  struct PushedRun {
+    const MergeCell* cells = nullptr;
+    const uint32_t* order = nullptr;
+    uint32_t size = 0;
+  };
+
+  /// RefoldBuckets' kernel, one bucket (see there). `run` and `fresh`
+  /// are read only when the bucket takes the two-way path: the pusher's
+  /// ranked bucket, and the IDs in it to check against the other
+  /// sources. Returns the steps that added a shared ID.
+  uint64_t RefoldBucket(std::span<const RankedSource> sources, uint32_t b,
+                        FoldState* state, size_t pusher, const PushedRun& run,
+                        std::span<const ItemId> fresh, MergeScratch& scratch);
+
+  /// A 256-bit filter of the IDs in one bucket: bit = top byte of a
+  /// multiplicative hash of the ID. A clear bit proves an ID absent.
+  struct IdSketch {
+    uint64_t words[4] = {};
+
+    static uint32_t BitOf(ItemId id) {
+      return static_cast<uint32_t>(id * uint64_t{0x9E3779B97F4A7C15} >> 56);
+    }
+    void Add(ItemId id) {
+      const uint32_t bit = BitOf(id);
+      words[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    void Add(const IdSketch& other) {
+      for (int w = 0; w < 4; ++w) words[w] |= other.words[w];
+    }
+    bool MayHold(ItemId id) const {
+      const uint32_t bit = BitOf(id);
+      return (words[bit >> 6] >> (bit & 63)) & 1;
+    }
+  };
+
   /// Whether some ID occupies bucket b in two of `sources`.
   bool SourcesShareAnId(std::span<const RankedSource> sources,
                         uint32_t b) const;
 
-  /// Whether some ID of sources[pusher]'s bucket b occupies bucket b in
-  /// another source, judged through the sources' IdSketches.
+  /// Whether one of `ids` occupies bucket b in a source other than
+  /// `pusher`.
   static bool PusherSharesAnId(std::span<const RankedSource> sources,
-                               size_t pusher, uint32_t b);
+                               size_t pusher, uint32_t b,
+                               std::span<const ItemId> ids);
 
-  /// RefoldBuckets' two-way path for bucket b (see there): false, with
-  /// the bucket untouched, when the cutoff test fails. `alone`: the
-  /// pusher is the only source, so no cutoff test is needed.
-  bool RefoldAgainstPusher(const RankedSource& pusher, bool alone, uint32_t b,
-                           FoldState& state, MergeScratch& scratch);
+  /// RefoldBuckets' two-way path for bucket b (see there): false when
+  /// the cutoff test fails, and then the bucket must be refolded N-way.
+  /// `alone`: the pusher is the only source, so no cutoff test is needed.
+  bool RefoldAgainstPusher(const PushedRun& run, uint8_t slot, bool alone,
+                           uint32_t b, FoldState& state,
+                           MergeScratch& scratch);
 
   /// RefoldBuckets' N-way path: bucket b becomes the top d of the
   /// sources' ranked runs. `tags` (null, or bucket b's d tags) receives
-  /// each kept cell's source slot. `heads` and `taken` are scratch with
-  /// one entry per source.
+  /// each kept cell's source slot.
   void RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,
-                        std::span<MergeCell> heads, std::span<uint32_t> taken,
-                        uint8_t* tags);
+                        MergeScratch& scratch, uint8_t* tags);
+
+  /// Recomputes the scalars MergeFrom accumulates from `sources`.
+  void RefoldScalars(std::span<const RankedSource> sources);
+
+  /// Copies a checked image's scalars into the table.
+  void CopyScalarsIn(std::string_view image);
 
   /// The counter cap CheckInvariants enforces, for a table with these
   /// scalars: counter <= elapsed periods + merged history (doubled
@@ -531,8 +638,11 @@ class Ltc final : public SignificanceEstimator {
   static uint64_t CounterCap(const LtcConfig& config, uint64_t period,
                              uint64_t merged_history_periods);
 
-  /// CheckInvariants for one bucket b, whose cells `bucket` holds.
-  bool BucketHolds(ConstBucketView bucket, uint32_t b, uint64_t cap) const;
+  /// CheckInvariants for bucket b, whose cells `cells` holds at
+  /// [b·d, (b+1)·d). `held` (null, or this table's ID lane, which
+  /// passed) spares the route check of an ID it holds in the same cell.
+  bool BucketHolds(const CellLanes& cells, uint32_t b, uint64_t cap,
+                   const uint64_t* held = nullptr) const;
 
   /// Deserialize's clock-state consistency check: the pacing relations
   /// the clock advance maintains hold for these scalars in a table of

@@ -65,17 +65,19 @@ PushOutcome AggregatorCore::ApplyPush(const PushView& push) {
     }
   }
 
-  // A known node's image with its table's header updates the table in
-  // place, checked, and names the buckets it changed. Anything else is
-  // deserialized whole and changes every bucket of the fold: a new
-  // node's, wherever its id sorts among the nodes already folded.
+  // A known node's image with its table's header is checked in place,
+  // writing nothing, and names the buckets it changes; the refold's walk
+  // copies them in. Anything else is deserialized whole and changes
+  // every bucket of the fold: a new node's, wherever its id sorts among
+  // the nodes already folded.
   Ltc::ImageUpdate update = Ltc::ImageUpdate::kNewHeader;
   if (it != nodes_.end()) {
-    update = it->second.sketch.UpdateFromImage(push.payload, changed_);
+    update = it->second.sketch.CheckImage(push.payload, changed_);
   }
   if (update == Ltc::ImageUpdate::kCorrupt) {
     return Reject(Status::kErrBadSketch, "sketch payload does not deserialize");
   }
+  std::string_view image = push.payload;
   if (update == Ltc::ImageUpdate::kNewHeader) {
     BinaryReader reader(push.payload);
     std::optional<Ltc> table = Ltc::Deserialize(reader);
@@ -97,16 +99,15 @@ PushOutcome AggregatorCore::ApplyPush(const PushView& push) {
     } else {
       it->second.sketch = std::move(*table);
     }
+    image = {};  // the table already holds its cells
   }
-  // An unchanged bucket has the same cells, so its rank still holds.
   NodeState& node = it->second;
-  node.sketch.RankBuckets(changed_, node.rank, node.ids);
   node.last_epoch = push.epoch_seq;
   node.records = push.records;
   node.last_push_usec = clock_->NowMicros();
 
   merges_total_++;
-  RefoldAndPublish(push.node_id);
+  RefoldAndPublish(push.node_id, image);
 
   PushOutcome outcome;
   outcome.status = Status::kOk;
@@ -115,18 +116,23 @@ PushOutcome AggregatorCore::ApplyPush(const PushView& push) {
   return outcome;
 }
 
-void AggregatorCore::RefoldAndPublish(uint64_t pusher_id) {
+void AggregatorCore::RefoldAndPublish(uint64_t pusher_id,
+                                      std::string_view image) {
   telemetry::Span span("agg.republish");
   span.AddAttr("nodes", nodes_.size());
   span.AddAttr("buckets", changed_.size());
   std::vector<Ltc::RankedSource> sources;
   sources.reserve(nodes_.size());
   size_t pusher = 0;
+  NodeState* pushed = nullptr;
   uint64_t records = 0;
-  for (const auto& [node_id, node] : nodes_) {
-    if (node_id == pusher_id) pusher = sources.size();
-    sources.push_back({&node.sketch, node.rank, node.ids,
-                       static_cast<uint8_t>(node.slot)});
+  for (auto& [node_id, node] : nodes_) {
+    if (node_id == pusher_id) {
+      pusher = sources.size();
+      pushed = &node;
+    }
+    sources.push_back(
+        {&node.sketch, node.rank, static_cast<uint8_t>(node.slot)});
     records += node.records;
   }
   // Shapes were checked at apply time, so every source can merge. The
@@ -135,8 +141,9 @@ void AggregatorCore::RefoldAndPublish(uint64_t pusher_id) {
   Ltc::FoldState* state =
       nodes_.size() <= kMaxTaggedNodes ? &fold_state_ : nullptr;
   const uint64_t two_way = fold_state_.paths.two_way;
-  const uint64_t matched_steps =
-      merged_.RefoldBuckets(sources, changed_, state, pusher);
+  const uint64_t matched_steps = merged_.RefoldPush(
+      sources, changed_, state, pusher, {&pushed->sketch, pushed->rank},
+      image);
   span.AddAttr("matched_steps", matched_steps);
   span.AddAttr("two_way", fold_state_.paths.two_way - two_way);
   has_merged_ = true;

@@ -24,39 +24,41 @@
 // of them for a node's first push), and keeps the rest of the
 // persistent aggregate. The result is the same bytes a full refold
 // would give (pinned by tests/aggregation_test.cc). A push pays for
-// what it changes, at three steps:
+// what it changes, in two steps:
 //
-//   * The payload is read where the frame parser received it
-//     (PushView). An image with the node's header updates the node's
-//     table in place (Ltc::UpdateFromImage): its lanes are diffed
-//     against the table bucket by bucket, every Deserialize check runs
-//     on the new scalars and the changed buckets (on all of them if the
-//     counter cap fell), and only then are the changed buckets copied
-//     in. Any other image takes Deserialize whole.
-//   * The node's rank lane (its cell indices per bucket, best first,
-//     4 bytes per cell) and ID-sketch lane (Ltc::IdSketch, 32 bytes
-//     per bucket) are refreshed for the changed buckets only. At the
-//     128 KiB, d = 8 shape that is 32 KiB each beside a node's 136 KiB
-//     image.
-//   * The refold (Ltc::RefoldBuckets) writes each changed bucket once,
+//   * Check. The payload is read where the frame parser received it
+//     (PushView). An image with the node's header is judged in place
+//     (Ltc::CheckImage): one pass diffs its lanes against the node's
+//     table bucket by bucket and runs every Deserialize check on the
+//     new scalars and the changed buckets (on all of them if the
+//     counter cap fell). It writes nothing, so a rejected push leaves
+//     the node's table, its rank lane and the aggregate as they were.
+//     Any other image takes Deserialize whole.
+//   * Apply (Ltc::RefoldPush). One walk over the changed buckets; per
+//     bucket it copies the node's new cells in, computes each
+//     significance once, re-ranks the bucket in the node's rank lane
+//     (its cell indices, best first, 4 bytes per cell: 32 KiB at the
+//     128 KiB, d = 8 shape), and writes the aggregate's bucket once,
 //     as the top d of the nodes' ranked runs. The aggregate keeps, per
-//     bucket, whether its nodes hold disjoint IDs there, and per merged
-//     cell a 1-byte tag naming its node's slot (fixed at the node's
-//     first push; 8 KiB plus 1 KiB at this shape). A disjoint bucket
-//     refolds two-way: the old bucket less the pusher's tagged cells,
-//     merged with the pusher's run. That is exact when the old bucket
-//     was not full, or when the new d-th cell ranks at or before the
-//     old d-th: every other node's cell the old bucket left out ranks
-//     after the old d-th, so none of them can enter. Otherwise the
-//     bucket takes the N-way merge of every node's run. A bucket where
-//     two nodes hold the same item (substreams that are not
-//     item-partitioned) takes MergeFrom's add-and-re-rank steps, node by
-//     node; the agg.republish span counts the steps that added a shared
-//     item as matched_steps, and the buckets refolded two-way as
-//     two_way.
+//     bucket, whether its nodes hold disjoint IDs there, and per
+//     merged cell a 1-byte tag naming its node's slot (fixed at the
+//     node's first push; 8 KiB plus 1 KiB at this shape). A disjoint
+//     bucket refolds two-way: the old bucket less the pusher's tagged
+//     cells, merged with the pusher's run. That is exact when the old
+//     bucket was not full, or when the new d-th cell ranks at or
+//     before the old d-th: every other node's cell the old bucket left
+//     out ranks after the old d-th, so none of them can enter.
+//     Otherwise the bucket takes the N-way merge of every node's run.
+//     Only the IDs new to the pusher's bucket are probed for in the
+//     other nodes' buckets first; the rest were there when the bucket
+//     was last found disjoint. A bucket where two nodes hold the same
+//     item (substreams that are not item-partitioned) takes
+//     MergeFrom's add-and-re-rank steps, node by node; the
+//     agg.republish span counts the steps that added a shared item as
+//     matched_steps, and the buckets refolded two-way as two_way.
 //
-// Ledgers in docs/PERF.md "Aggregator push path", "Per-cell loops" and
-// "Incremental push apply".
+// Ledgers in docs/PERF.md "Aggregator push path", "Per-cell loops",
+// "Incremental push apply" and "One-walk push apply".
 //
 // Epoch rules, per node: epoch_seq must be >= 1 and is compared against
 // the newest applied epoch. Newer → applied; equal → acknowledged as a
@@ -82,6 +84,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -152,25 +155,22 @@ class AggregatorCore {
     uint64_t records = 0;
     uint64_t last_push_usec = 0;
     Ltc sketch;
-    std::vector<uint32_t> rank;      // sketch's rank lane (RankBuckets)
-    std::vector<Ltc::IdSketch> ids;  // per bucket, refreshed with `rank`
+    std::vector<uint32_t> rank;  // sketch's rank lane (Ltc::RankBuckets)
     size_t slot;  // the fold's tag for this node: its first-push order
 
     NodeState(Ltc s, size_t first_push_order)
-        : sketch(std::move(s)),
-          rank(sketch.num_cells()),
-          ids(sketch.num_buckets()),
-          slot(first_push_order) {}
+        : sketch(std::move(s)), rank(sketch.num_cells()), slot(first_push_order) {}
   };
 
   PushOutcome Reject(Status status, std::string detail);
-  /// Refolds the changed_ buckets of merged_ across nodes_, against the
-  /// run of node `pusher_id` where it can, and publishes a copy.
-  /// Per-push cost is O(changed buckets × d) for a two-way fold, times
-  /// the node count for an N-way one, plus O(table) for the copy; the
-  /// aggregate stays a pure function of the node images (see file
-  /// comment).
-  void RefoldAndPublish(uint64_t pusher_id);
+  /// Copies the checked `image` (empty: the node's table already holds
+  /// it) into node `pusher_id`'s table, re-ranks it and refolds merged_
+  /// across nodes_, bucket by bucket over changed_, against that node's
+  /// run where it can, and publishes a copy. Per-push cost is
+  /// O(changed buckets × d) for a two-way fold, times the node count for
+  /// an N-way one, plus O(table) for the copy; the aggregate stays a
+  /// pure function of the node images (see file comment).
+  void RefoldAndPublish(uint64_t pusher_id, std::string_view image);
   uint64_t AgeSecOf(const NodeState& node, uint64_t now_usec) const;
 
   const LtcConfig config_;

@@ -421,6 +421,8 @@ TEST(Aggregator, InPlaceApplyJudgesEveryFlippedByteLikeTheFullPath) {
   }
 
   const std::string held = HoldingImages(config, first, base)->SerializeMerged();
+  const std::string unflipped =
+      HoldingImages(config, first, next)->SerializeMerged();
   uint64_t applied = 0, rejected = 0;
   for (size_t offset = 0; offset < next.size(); ++offset) {
     PushRequest push;
@@ -442,6 +444,12 @@ TEST(Aggregator, InPlaceApplyJudgesEveryFlippedByteLikeTheFullPath) {
       ++applied;
     } else {
       ASSERT_EQ(aggregator->SerializeMerged(), held) << "offset " << offset;
+      // The rejection left node 2's table, rank lane and the fold's tags
+      // as they were: the unflipped image still applies on top of them
+      // and lands where a fresh aggregator does.
+      push.payload = next;
+      ASSERT_TRUE(aggregator->ApplyPush(push).applied) << "offset " << offset;
+      ASSERT_EQ(aggregator->SerializeMerged(), unflipped) << "offset " << offset;
       ++rejected;
     }
   }
@@ -565,7 +573,7 @@ class AggregatorRefold : public ::testing::TestWithParam<RefoldCase> {};
 
 TEST_P(AggregatorRefold, EveryPushLeavesTheFullFoldOfTheNewestImages) {
   LtcConfig config = SmallConfig();
-  config.memory_bytes = 16 * 1024;  // 32 buckets even at d = 32
+  config.memory_bytes = 16 * 1024;  // 32 buckets at d = 32, 16 at d = 64
   config.cells_per_bucket = GetParam().cells_per_bucket;
   config.long_tail_replacement = GetParam().long_tail_replacement;
   if (GetParam().beta_zero) config.beta = 0.0;
@@ -670,7 +678,11 @@ INSTANTIATE_TEST_SUITE_P(
                       RefoldCase{"d32_ltr_partitioned", 32, true, true},
                       RefoldCase{"d8_ltr_beta0", 8, true, false, true},
                       RefoldCase{"d8_noltr_beta0_partitioned", 8, false,
-                                 true, true}),
+                                 true, true},
+                      // Wider than any fixed-size bucket a kernel might
+                      // keep on the stack for the paper's d <= 32.
+                      RefoldCase{"d64_ltr", 64, true},
+                      RefoldCase{"d64_noltr_partitioned", 64, false, true}),
     [](const ::testing::TestParamInfo<RefoldCase>& info) {
       return std::string(info.param.name);
     });
