@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -13,12 +12,28 @@ namespace ltc {
 
 namespace {
 
-/// Microseconds elapsed since `start`, saturated at 0.
-uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const auto usec =
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
-  return usec > 0 ? static_cast<uint64_t>(usec) : 0;
+/// Silence after which a bounded wait stops yielding and sleeps. A live
+/// worker can sit descheduled for a few scheduler slices (healthy
+/// perfbench ingest_zipf rounds on a 4-vCPU VM showed silences of up to
+/// 24 ms), so no healthy wait reaches it; past it, sleeping leaves the
+/// core to the worker the wait is for instead of burning it for the rest
+/// of the bound.
+constexpr uint64_t kYieldPhaseUsec = 50'000;
+
+/// One step of a bounded wait (docs/INGEST.md "Bounded waits"): false,
+/// without waiting, once `timeout_usec` has passed since the lane's
+/// last progress at `progress_at`; otherwise a yield, or a 1 ms sleep
+/// past the yield phase. Time is the steady clock, never a FakeClock:
+/// the wait times live worker threads.
+bool WaitStep(uint64_t progress_at, uint64_t timeout_usec) {
+  const uint64_t silent = SystemClock().NowMicros() - progress_at;
+  if (silent >= timeout_usec) return false;
+  if (silent < kYieldPhaseUsec) {
+    std::this_thread::yield();
+  } else {
+    SystemClock().SleepMicros(1'000);
+  }
+  return true;
 }
 
 }  // namespace
@@ -155,8 +170,8 @@ bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
     }
   }
   uint64_t accepted = 0;
-  uint64_t idle_yields = 0;
   bool delivered = true;
+  uint64_t progress_at = 0;  // read once the ring first fills
   while (!run.empty()) {
     size_t pushed = lane.ring.TryPushBatch(run);
     accepted += pushed;
@@ -166,9 +181,8 @@ bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
       lane.dropped.fetch_add(run.size(), std::memory_order_relaxed);
       break;
     }
-    if (pushed > 0) {
-      idle_yields = 0;
-    } else if (++idle_yields > config_.stall_yield_limit) {
+    if (pushed > 0 || progress_at == 0) progress_at = SystemClock().NowMicros();
+    if (!WaitStep(progress_at, config_.stall_timeout_usec)) {
       // kBlock escape hatch: the worker made no room for the whole
       // bounded wait — treat it as dead, surface the stall, and account
       // for the records we could not deliver.
@@ -177,7 +191,6 @@ bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
       delivered = false;
       break;
     }
-    std::this_thread::yield();  // kBlock: wait for the worker to drain
   }
   lane.enqueued.fetch_add(accepted, std::memory_order_relaxed);
   return delivered;
@@ -219,23 +232,15 @@ void IngestPipeline::PushBatch(std::span<const Record> records) {
 
 bool IngestPipeline::Flush() {
   telemetry::Span span("ingest.flush");
-  const auto start = std::chrono::steady_clock::now();
+  const uint64_t start = SystemClock().NowMicros();
   bool complete = true;
   for (auto& lane : lanes_) {
     const uint64_t target = lane->enqueued.load(std::memory_order_relaxed);
     uint64_t last = lane->drained.load(std::memory_order_acquire);
-    auto progress_at = std::chrono::steady_clock::now();
-    uint64_t idle_yields = 0;
+    uint64_t progress_at = SystemClock().NowMicros();
     bool lane_complete = true;
     while (last < target) {
-      if (++idle_yields <= config_.stall_yield_limit) {
-        std::this_thread::yield();
-      } else if (std::chrono::steady_clock::now() - progress_at <
-                 kFlushMinWait) {
-        // Yields ran out before the minimum wait: sleep, so a worker
-        // queued on this core gets it (see kFlushMinWait).
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      } else {
+      if (!WaitStep(progress_at, config_.stall_timeout_usec)) {
         // Bounded wait expired without progress: a dead worker must
         // surface as an error, not an infinite wait.
         stalled_.store(true, std::memory_order_release);
@@ -246,8 +251,7 @@ bool IngestPipeline::Flush() {
       const uint64_t now = lane->drained.load(std::memory_order_acquire);
       if (now != last) {
         last = now;
-        progress_at = std::chrono::steady_clock::now();
-        idle_yields = 0;
+        progress_at = SystemClock().NowMicros();
       }
     }
     if (lane_complete) {
@@ -266,7 +270,7 @@ bool IngestPipeline::Flush() {
           TotalEnqueued());
     }
   }
-  flush_duration_usec_.Record(MicrosSince(start));
+  flush_duration_usec_.Record(SystemClock().NowMicros() - start);
   return complete;
 }
 
@@ -311,7 +315,7 @@ bool IngestPipeline::CheckpointOnce(std::string* error) {
 
 bool IngestPipeline::Checkpoint(std::string* error) {
   assert(!stopped_ && "Checkpoint after Stop()");
-  const auto start = std::chrono::steady_clock::now();
+  const uint64_t start = SystemClock().NowMicros();
   if (snapshot_store_ == nullptr) {
     if (error != nullptr) *error = "no snapshot store attached";
     checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -336,7 +340,7 @@ bool IngestPipeline::Checkpoint(std::string* error) {
     return false;
   }
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_duration_usec_.Record(MicrosSince(start));
+  checkpoint_duration_usec_.Record(SystemClock().NowMicros() - start);
   return true;
 }
 

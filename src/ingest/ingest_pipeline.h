@@ -14,13 +14,13 @@
 // stream — parallelism buys throughput, never a different answer
 // (pinned by tests/ingest_pipeline_test.cc).
 //
-// Backpressure on a full ring is configurable: kBlock (the producer spins
-// with yields — no record is ever lost) or kDrop (the record is counted
-// and discarded — bounded producer latency under overload, like a NIC
-// queue). kBlock's spin is BOUNDED: a worker that stops draining for
-// `stall_yield_limit` consecutive yields surfaces as a latched stalled()
-// flag (and the stuck records are counted as dropped) instead of
-// wedging the producer forever.
+// Backpressure on a full ring is configurable: kBlock (the producer
+// waits for the worker to make room; it loses records only when that
+// wait expires) or kDrop (the record is counted and discarded — bounded
+// producer latency under overload, like a NIC queue). kBlock's wait is
+// BOUNDED: a lane that makes no progress for `stall_timeout_usec` of
+// wall time latches stalled() and its stuck records are counted as
+// dropped, instead of wedging the producer forever.
 //
 // Worker lifetime (docs/INGEST.md "Failure handling & degradation"):
 // each lane keeps the one worker the constructor spawned until Stop(),
@@ -59,7 +59,6 @@
 #define LTC_INGEST_INGEST_PIPELINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,7 +80,7 @@ class SnapshotStore;
 
 /// What the router does when a shard's ring is full.
 enum class BackpressureMode {
-  kBlock,  // spin/yield until the worker frees space; lossless
+  kBlock,  // wait for the worker to free space; counted drops on a stall
   kDrop,   // discard the record and count it; bounded producer latency
 };
 
@@ -128,14 +127,14 @@ struct IngestConfig {
 
   BackpressureMode backpressure = BackpressureMode::kBlock;
 
-  /// Escape hatch for kBlock spins and Flush() waits: after this many
-  /// consecutive yields with NO worker progress, the wait gives up,
-  /// stalled() latches true and (for a blocked push) the stuck records
-  /// are counted as dropped. A dead worker thus surfaces as an
-  /// observable error instead of an infinite producer spin. The default
-  /// is a few seconds of real time; tests use tiny values. Flush() also
-  /// waits at least IngestPipeline::kFlushMinWait without progress.
-  uint64_t stall_yield_limit = 4'000'000;
+  /// Escape hatch for kBlock push waits and Flush() waits: once a lane
+  /// has made NO progress for this long (wall time, microseconds), the
+  /// wait gives up, stalled() latches true and (for a blocked push) the
+  /// stuck records are counted as dropped. A dead worker thus surfaces
+  /// as an observable error instead of an infinite producer wait. Lane
+  /// progress (records the ring accepts or the worker applies) restarts
+  /// the bound, so only silence counts.
+  uint64_t stall_timeout_usec = 2'000'000;
 
   /// Overload shedding under sustained queue pressure (off by default).
   ShedPolicy shed;
@@ -146,15 +145,17 @@ struct IngestConfig {
   /// behaviour.
   BackoffPolicy checkpoint_retry;
 
-  /// Clock for checkpoint-retry sleeps; nullptr = SystemClock(). Tests
-  /// pass a FakeClock to pin the backoff schedule.
+  /// Clock for checkpoint-retry sleeps only; nullptr = SystemClock().
+  /// Tests pass a FakeClock to pin the backoff schedule. The stall bound
+  /// reads the steady clock: a fake one cannot tell a live worker the
+  /// scheduler has not run yet from a dead one.
   Clock* clock = nullptr;
 };
 
 /// Per-shard operational counters (see IngestPipeline::ShardStatsOf).
 struct IngestShardStats {
   uint64_t enqueued = 0;     // records accepted into the ring
-  uint64_t dropped = 0;      // records discarded (kDrop mode only)
+  uint64_t dropped = 0;      // records discarded (kDrop, or a kBlock stall)
   uint64_t shed = 0;         // records rejected by overload shedding
   uint64_t drained = 0;      // records applied to the shard table
   uint64_t batches = 0;      // InsertBatch calls the worker issued
@@ -199,17 +200,10 @@ class IngestPipeline {
   /// table (and is memory-visible to this thread). The pipeline stays
   /// usable: Push may resume after Flush — that is how mid-stream
   /// snapshots are taken (flush, query, keep feeding). The wait is
-  /// bounded (see IngestConfig::stall_yield_limit): returns false when
+  /// bounded (see IngestConfig::stall_timeout_usec): returns false when
   /// a stalled worker kept records from draining, true when every
   /// accepted record is applied. A complete Flush() clears stalled().
   bool Flush();
-
-  /// Wall time a Flush() lane wait spends without progress before it
-  /// may give up, however small stall_yield_limit is. Under CPU load a
-  /// yield returns at once while a live worker queued on another core
-  /// is not scheduled at all; past its yields the wait sleeps, so the
-  /// worker can run, and only this long a silence reads as a stall.
-  static constexpr std::chrono::milliseconds kFlushMinWait{250};
 
   /// Attaches a read-snapshot hub (docs/SERVING.md): every successful
   /// Flush() barrier then publishes a bit-identical clone of the sink

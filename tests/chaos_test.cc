@@ -75,7 +75,7 @@ bool WaitUntil(const std::function<bool()>& condition,
 TEST(ChaosSupervisor, DisabledSupervisionLeavesDeadWorkersDead) {
   ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
   IngestConfig ingest;
-  ingest.stall_yield_limit = 2'000;
+  ingest.stall_timeout_usec = 10'000;  // the flush below must expire
   IngestPipeline pipeline(sink, ingest);
 
   pipeline.KillWorkerForTest(0);
@@ -101,7 +101,9 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
   IngestConfig ingest;
   ingest.ring_capacity = 64;
-  ingest.stall_yield_limit = 2'000;  // latch fast
+  // The push below expires on the hung lane; the Flush() after the
+  // release, with a live worker, must complete.
+  ingest.stall_timeout_usec = 250'000;
   IngestPipeline pipeline(sink, ingest);
   EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy);
 
@@ -258,10 +260,10 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   ShardedLtc piped(config, 4);
   IngestConfig ingest;
   ingest.ring_capacity = 1 << 12;
-  // A mid-chaos flush that meets a hung lane gives up after
-  // IngestPipeline::kFlushMinWait, not after a default yield budget
-  // that CPU load stretches to seconds.
-  ingest.stall_yield_limit = 100;
+  // A mid-chaos flush that meets a hung lane gives up after 250 ms of
+  // silence, not after the default 2 s; the final flush, with every
+  // worker live, must complete.
+  ingest.stall_timeout_usec = 250'000;
   // Generous checkpoint retries: mid-chaos attempts may meet an armed
   // I/O burst, which backoff outlasts, or a hang (stalled flush), which
   // lasts until a later Step releases it.
@@ -351,7 +353,7 @@ TEST(ChaosCheckpoint, StallErrorNamesShardAndQueueDepth) {
   ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 2);
   IngestConfig ingest;
   ingest.ring_capacity = 64;
-  ingest.stall_yield_limit = 2'000;
+  ingest.stall_timeout_usec = 10'000;  // the checkpoint's flush expires
   IngestPipeline pipeline(sink, ingest);
 
   const auto dir = std::filesystem::path(::testing::TempDir()) / "chaos_msg";

@@ -92,7 +92,7 @@ TEST_F(IngestCheckpointTest, StalledWorkerSurfacesInsteadOfWedging) {
   ShardedLtc sink(SmallConfig(), 2);
   IngestConfig config;
   config.ring_capacity = 64;
-  config.stall_yield_limit = 2000;  // tiny bounded wait: fail fast
+  config.stall_timeout_usec = 10'000;  // tiny bounded wait: fail fast
   IngestPipeline pipeline(sink, config);
   pipeline.SuspendWorkersForTest(true);  // "the worker thread died"
 

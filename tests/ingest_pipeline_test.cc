@@ -6,6 +6,7 @@
 // the same stream. The concurrency tests double as the tsan workload.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 #include <stdexcept>
@@ -432,7 +433,7 @@ TEST(IngestPipeline, HungLaneDropsItsOverflowWhileOtherLanesDrain) {
 
   IngestConfig ingest;
   ingest.ring_capacity = 256;  // far below shard 0's share of the batch
-  ingest.stall_yield_limit = 200'000;
+  ingest.stall_timeout_usec = 250'000;
   IngestPipeline pipeline(piped, ingest);
   pipeline.HangWorkerForTest(0, true);
   pipeline.PushBatch(stream.records());
@@ -457,8 +458,8 @@ TEST(IngestPipeline, HungLaneDropsItsOverflowWhileOtherLanesDrain) {
   EXPECT_TRUE(piped.CheckInvariants());
 }
 
-// A paused worker that resumes within kFlushMinWait is live, not
-// stalled: even with a one-yield budget, Flush() waits out the pause.
+// A paused worker that resumes within the stall bound is live, not
+// stalled: Flush() waits out a pause of a fifth of the bound.
 TEST(IngestPipeline, FlushOutwaitsAPauseShorterThanItsMinimumWait) {
   Stream stream = MakeZipfStream(2'000, 500, 1.0, 4, 167);
   LtcConfig config = TimePaced(stream, 16 * 1024);
@@ -467,11 +468,11 @@ TEST(IngestPipeline, FlushOutwaitsAPauseShorterThanItsMinimumWait) {
 
   ShardedLtc piped(config, 2);
   IngestConfig ingest;
-  ingest.stall_yield_limit = 1;
+  ingest.stall_timeout_usec = 250'000;
   IngestPipeline pipeline(piped, ingest);
   pipeline.SuspendWorkersForTest(true);
   pipeline.PushBatch(stream.records());
-  const auto pause = IngestPipeline::kFlushMinWait / 5;
+  const auto pause = std::chrono::microseconds(ingest.stall_timeout_usec / 5);
   const auto start = std::chrono::steady_clock::now();
   std::thread releaser([&] {
     std::this_thread::sleep_for(pause);
@@ -484,6 +485,84 @@ TEST(IngestPipeline, FlushOutwaitsAPauseShorterThanItsMinimumWait) {
   pipeline.Stop();
   EXPECT_EQ(pipeline.TotalEnqueued(), stream.size());
   EXPECT_EQ(Bytes(sequential), Bytes(piped));
+}
+
+// The kBlock push wait is bounded in wall time: a Push() that meets a
+// hung lane's full ring returns once the bound has passed without
+// progress, counts its record as dropped and latches the stall.
+TEST(IngestPipeline, BlockedPushGivesUpAfterTheStallBound) {
+  ShardedLtc piped(CountPaced(8 * 1024, 1'000), 1);
+  IngestConfig ingest;
+  ingest.ring_capacity = 8;
+  ingest.stall_timeout_usec = 50'000;
+  IngestPipeline pipeline(piped, ingest);
+  pipeline.HangWorkerForTest(0, true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // it polls
+  while (pipeline.ShardStatsOf(0).queue_depth < 8) pipeline.Push(1);
+  const uint64_t enqueued = pipeline.TotalEnqueued();
+
+  const auto start = std::chrono::steady_clock::now();
+  pipeline.Push(1);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::microseconds(ingest.stall_timeout_usec));
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  EXPECT_TRUE(pipeline.stalled());
+  EXPECT_EQ(pipeline.TotalDropped(), 1u);
+  EXPECT_EQ(pipeline.TotalEnqueued(), enqueued);
+
+  pipeline.HangWorkerForTest(0, false);
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.ShardStatsOf(0).drained, enqueued);
+}
+
+// Progress restarts the bound: a worker released in steps, each after a
+// silence well inside the bound, keeps a blocked PushBatch waiting for
+// longer than the bound in all without ever making it give up.
+TEST(IngestPipeline, DrainingInStepsRestartsTheStallBound) {
+  IngestConfig ingest;
+  ingest.ring_capacity = 8;
+  ingest.stall_timeout_usec = 300'000;
+  const auto bound = std::chrono::microseconds(ingest.stall_timeout_usec);
+  std::vector<Record> records;
+  for (ItemId i = 1; i <= 6 * 8; ++i) records.push_back({i, 0.0});
+
+  // One step: a third of the bound of silence, then the worker runs
+  // until it has applied something and hangs again. The producer sleeps
+  // through the end of each silence, so a step drains about one ring and
+  // the batch needs about five steps. Under CPU load a step can drain
+  // several rings and end the batch inside the bound, which proves
+  // nothing, so such a run is repeated.
+  auto waited = std::chrono::steady_clock::duration::zero();
+  for (int run = 0; run < 5 && waited <= bound; ++run) {
+    ShardedLtc piped(CountPaced(8 * 1024, 1'000), 1);
+    IngestPipeline pipeline(piped, ingest);
+    pipeline.HangWorkerForTest(0, true);
+    std::atomic<bool> done{false};
+    std::thread stepper([&] {
+      while (!done.load()) {
+        std::this_thread::sleep_for(bound / 3);
+        const uint64_t drained = pipeline.ShardStatsOf(0).drained;
+        pipeline.HangWorkerForTest(0, false);
+        while (!done.load() && pipeline.ShardStatsOf(0).drained == drained) {
+          std::this_thread::yield();
+        }
+        pipeline.HangWorkerForTest(0, true);
+      }
+    });
+    const auto start = std::chrono::steady_clock::now();
+    pipeline.PushBatch(records);
+    waited = std::chrono::steady_clock::now() - start;
+    done.store(true);
+    stepper.join();
+
+    EXPECT_FALSE(pipeline.stalled());
+    EXPECT_EQ(pipeline.TotalDropped(), 0u);
+    EXPECT_EQ(pipeline.TotalEnqueued(), records.size());
+    pipeline.HangWorkerForTest(0, false);
+    EXPECT_TRUE(pipeline.Flush());
+    pipeline.Stop();
+  }
+  EXPECT_GT(waited, bound) << "no push outlasted the bound";
 }
 
 }  // namespace

@@ -593,10 +593,9 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   FakeClock clock;
   IngestConfig config;
   config.ring_capacity = 64;
-  // A blocked push gives up after 100 yields; a Flush still waits
-  // IngestPipeline::kFlushMinWait, so a slow-to-schedule worker cannot
-  // fail it.
-  config.stall_yield_limit = 100;
+  // A blocked push gives up after 250 ms of silence; the later Flush()
+  // waits for live workers, and no scheduling delay lasts that long.
+  config.stall_timeout_usec = 250'000;
   // A full ring starts a shed on the second consecutive observation, so
   // the first push that meets it waits out its bounded wait instead.
   config.shed.enabled = true;
