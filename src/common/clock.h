@@ -7,6 +7,11 @@
 // FakeClock that advances instantly and records every requested sleep,
 // so a backoff schedule can be asserted value-by-value without wall
 // time ever passing (tests/backoff_test.cc).
+//
+// A wait for another live thread (a pipeline lane, a reader pinning a
+// snapshot slot) is the exception: it reads the steady clock through
+// WaitStep, never a Clock a test can fake, because a fake clock cannot
+// tell a thread the scheduler has not run yet from a dead one.
 
 #ifndef LTC_COMMON_CLOCK_H_
 #define LTC_COMMON_CLOCK_H_
@@ -29,6 +34,13 @@ class Clock {
 
 /// The process-wide monotonic clock (std::chrono::steady_clock).
 Clock& SystemClock();
+
+/// One step of a bounded wait (docs/INGEST.md "Bounded waits"): false,
+/// without waiting, once `timeout_usec` has passed since `since`, a
+/// SystemClock() reading; otherwise a yield during the first 50 ms
+/// after `since`, a 1 ms sleep past them. The caller restarts the bound
+/// on progress by moving `since` forward.
+bool WaitStep(uint64_t since, uint64_t timeout_usec);
 
 /// Deterministic clock for tests: SleepMicros returns immediately,
 /// advances the fake time, and records the requested duration so a

@@ -545,8 +545,7 @@ uint32_t Ltc::LoadBucket(uint32_t b, MergeCell* cells,
       cells[i] = {-1.0, i, 0, 0, 0};
       continue;
     }
-    if (occupants != nullptr) occupants[n] = cells[i].id;
-    ++n;
+    occupants[n++] = cells[i].id;
   }
   return n;
 }
@@ -600,17 +599,6 @@ uint32_t Ltc::RankCells(const MergeCell* cells, uint32_t d,
     order[pos] = at;
   }
   return occupied;
-}
-
-void Ltc::RankBuckets(std::span<const uint32_t> buckets,
-                      std::span<uint32_t> rank) const {
-  assert(rank.size() == table_.num_cells());
-  const uint32_t d = config_.cells_per_bucket;
-  std::vector<MergeCell> cells(d);
-  for (uint32_t b : buckets) {
-    LoadBucket(b, cells.data(), nullptr);
-    RankCells(cells.data(), d, rank.data() + size_t{b} * d);
-  }
 }
 
 bool Ltc::SourcesShareAnId(std::span<const RankedSource> sources,
@@ -793,30 +781,6 @@ void Ltc::RefoldScalars(std::span<const RankedSource> sources) {
   current_period_ = 0;
   merged_history_periods_ = 0;
   for (const RankedSource& source : sources) MergeScalarsFrom(*source.table);
-}
-
-uint64_t Ltc::RefoldBuckets(std::span<const RankedSource> sources,
-                            std::span<const uint32_t> buckets,
-                            FoldState* state, size_t pusher) {
-  const uint32_t d = config_.cells_per_bucket;
-  MergeScratch scratch(d, sources.size());
-  uint64_t matched_steps = 0;
-  for (uint32_t b : buckets) {
-    // The two-way path reads the pusher's ranked bucket, every ID of it
-    // to be checked.
-    PushedRun run;
-    if (state != nullptr && state->disjoint[b]) {
-      const RankedSource& pushed = sources[pusher];
-      run.cells = scratch.run.data();
-      run.order = pushed.rank.data() + size_t{b} * d;
-      run.size =
-          pushed.table->LoadBucket(b, scratch.run.data(), scratch.ids.data());
-    }
-    matched_steps += RefoldBucket(sources, b, state, pusher, run,
-                                  {scratch.ids.data(), run.size}, scratch);
-  }
-  RefoldScalars(sources);
-  return matched_steps;
 }
 
 uint64_t Ltc::RefoldPush(std::span<const RankedSource> sources,
@@ -1013,19 +977,6 @@ void Ltc::CopyScalarsIn(std::string_view image) {
   last_time_ = reader.GetDouble();
   merged_history_periods_ = reader.GetU64();
   ResetClockStepper();
-}
-
-Ltc::ImageUpdate Ltc::UpdateFromImage(std::string_view image,
-                                      std::vector<uint32_t>& changed) {
-  const ImageUpdate verdict = CheckImage(image, changed);
-  if (verdict != ImageUpdate::kUpdated) return verdict;
-  CopyScalarsIn(image);
-  const CellLanes lanes = LanesOf(image, table_.num_cells());
-  MergeScratch scratch(config_.cells_per_bucket);
-  for (uint32_t b : changed) {
-    CopyBucketIn(lanes, b, scratch.run.data(), scratch.ids.data());
-  }
-  return ImageUpdate::kUpdated;
 }
 
 std::optional<Ltc> Ltc::Deserialize(BinaryReader& reader) {

@@ -255,34 +255,27 @@ class Ltc final : public SignificanceEstimator {
   /// aggregation tier surfaces as a typed response, never UB.
   [[nodiscard]] bool MergeFrom(const Ltc& other);
 
-  /// Writes the rank order of each listed bucket into `rank`, a lane of
-  /// num_cells() entries laid out like the table (bucket b's entries at
-  /// [b·d, (b+1)·d)): the bucket's cell indices, occupied cells best
-  /// first by (significance desc, id asc), then its empty cells. A
-  /// listed bucket's entries must be zeros (a new lane) or what an
-  /// earlier call left there; re-ranking sorts from that earlier order,
-  /// so a bucket that barely changed costs about d compares. The
-  /// entries of unlisted buckets are left as they are.
-  void RankBuckets(std::span<const uint32_t> buckets,
-                   std::span<uint32_t> rank) const;
-
-  /// One input of RefoldBuckets: a table and its rank lane, which
-  /// RankBuckets has brought up to date for every bucket. The two-way
-  /// path (FoldState) also needs a slot no other source has.
+  /// One input of RefoldPush: a table and its rank lane, num_cells()
+  /// entries laid out like the table (bucket b's entries at [b·d,
+  /// (b+1)·d)): the bucket's cell indices, occupied cells best first by
+  /// (significance desc, id asc), then its empty cells. RefoldPush
+  /// brings the pushing source's lane up to date; every other source's
+  /// lane must be what an earlier RefoldPush with it as the pusher left.
+  /// The two-way path (FoldState) also needs a slot no other source has.
   struct RankedSource {
     const Ltc* table;
     std::span<const uint32_t> rank;
     uint8_t slot = 0;
   };
 
-  /// Buckets refolded per path, summed over RefoldBuckets calls.
+  /// Buckets refolded per path, summed over RefoldPush calls.
   struct RefoldPaths {
     uint64_t two_way = 0;   // the pushing source's run against the rest
     uint64_t n_way = 0;     // every source's ranked run
     uint64_t stepwise = 0;  // MergeFrom's steps: a shared ID
   };
 
-  /// What the fold remembers between RefoldBuckets calls so that a
+  /// What the fold remembers between RefoldPush calls so that a
   /// bucket changed by one source refolds against that source alone.
   /// `disjoint[b]` is set when no ID occupies bucket b in two sources;
   /// then `tags` names, for each occupied cell of the bucket, the slot
@@ -296,14 +289,32 @@ class Ltc final : public SignificanceEstimator {
     RefoldPaths paths;
   };
 
-  /// The aggregation tier's incremental fold (server/aggregator.h).
-  /// Precondition: this table equals a fresh Ltc(config()) folded with
-  /// MergeFrom over a list of tables that differs from `sources` only in
-  /// the cells of `buckets`. Afterwards it equals the fold over
-  /// `sources`, byte for byte: MergeFrom is bucket-local, so each listed
-  /// bucket is refolded across every source, the rest are already
-  /// right, and the table scalars MergeFrom accumulates (period, merged
-  /// history) are recomputed from all sources.
+  /// The writable side of the pushing source in RefoldPush: the table
+  /// and rank lane that sources[pusher] views.
+  struct PushedSource {
+    Ltc* table;
+    std::span<uint32_t> rank;
+  };
+
+  /// The aggregation tier's incremental fold (server/aggregator.h), one
+  /// walk over `buckets`. Precondition: this table equals a fresh
+  /// Ltc(config()) folded with MergeFrom over a list of tables that
+  /// differs from `sources`, once the push is applied, only in the
+  /// cells of `buckets` (a source new to the list counts as empty).
+  /// Afterwards it equals the fold over `sources`, byte for byte:
+  /// MergeFrom is bucket-local, so each listed bucket is refolded
+  /// across every source, the rest are already right, and the table
+  /// scalars MergeFrom accumulates (period, merged history) are
+  /// recomputed from all sources.
+  ///
+  /// The pushing source is brought up to date in the same walk. A
+  /// non-empty `image` must have passed pushed.table->CheckImage naming
+  /// `buckets`: its scalars and each listed bucket's cells are copied
+  /// into pushed.table. An empty one means the table already holds its
+  /// new cells. Each significance is computed once, and the bucket is
+  /// re-ranked into pushed.rank by insertion sort from the lane's
+  /// earlier order (zeros for a new lane), so a bucket that barely
+  /// changed costs about d compares.
   ///
   /// A listed bucket whose sources hold no ID in common, which is every
   /// bucket when the sources saw disjoint items, is the top d of all
@@ -312,7 +323,10 @@ class Ltc final : public SignificanceEstimator {
   ///
   ///  * two-way, when `state` is given and the bucket was disjoint: the
   ///    list differed only in source `pusher`, whose IDs are probed
-  ///    for in the other sources' buckets. The old bucket less the
+  ///    for in the other sources' buckets; only the IDs the pushed
+  ///    bucket did not hold before are probed (the others were in it at
+  ///    the last fold, which found the bucket disjoint), and an empty
+  ///    `image` counts every ID as new. The old bucket less the
   ///    pusher's tagged cells is merged with the pusher's run, by a
   ///    branch-free select of the better head. The result stands when
   ///    the pusher is the only source, when the old bucket was not
@@ -326,34 +340,10 @@ class Ltc final : public SignificanceEstimator {
   /// A bucket with a shared ID takes MergeFrom's own steps, source by
   /// source; a step adds the matching fields and re-ranks every cell.
   /// Returns the number of steps that added a shared ID, as MergeFrom
-  /// would have met them. With `state`, the pusher's run is used only
-  /// if `state` is what the previous call over the old list left, and
-  /// the call counts its buckets per path into state->paths. Every
-  /// source must satisfy CanMergeWith(*this).
-  uint64_t RefoldBuckets(std::span<const RankedSource> sources,
-                         std::span<const uint32_t> buckets,
-                         FoldState* state = nullptr, size_t pusher = 0);
-
-  /// The writable side of the pushing source in RefoldPush: the table
-  /// and rank lane that sources[pusher] views.
-  struct PushedSource {
-    Ltc* table;
-    std::span<uint32_t> rank;
-  };
-
-  /// The aggregation tier's push apply (server/aggregator.h), one walk
-  /// over `buckets`. The result is what these would leave, in order:
-  /// pushed.table->UpdateFromImage(image) (skipped for an empty image,
-  /// when the table already holds its new cells), pushed.table->
-  /// RankBuckets(buckets, pushed.rank), and
-  /// RefoldBuckets(sources, buckets, state, pusher). Per listed bucket
-  /// the walk copies the image's cells in, computes each significance
-  /// once, re-ranks the bucket, and refolds it against the pushed run.
-  /// The two-way share check probes only the IDs the pushed bucket did
-  /// not hold before: the others were in it at the last fold, which
-  /// found the bucket disjoint. A non-empty `image` must have passed
-  /// pushed.table->CheckImage naming `buckets`; an empty one counts
-  /// every ID as new.
+  /// would have met them in the listed buckets. With `state`, the
+  /// pusher's run is used only if `state` is what the previous call
+  /// over the old list left, and the call counts its buckets per path
+  /// into state->paths. Every source must satisfy CanMergeWith(*this).
   uint64_t RefoldPush(std::span<const RankedSource> sources,
                       std::span<const uint32_t> buckets, FoldState* state,
                       size_t pusher, const PushedSource& pushed,
@@ -363,7 +353,7 @@ class Ltc final : public SignificanceEstimator {
   /// and `other`, ascending. `other` must satisfy CanMergeWith(*this).
   std::vector<uint32_t> ChangedBuckets(const Ltc& other) const;
 
-  /// What CheckImage found in an image, and UpdateFromImage did with it.
+  /// What CheckImage found in an image.
   enum class ImageUpdate {
     kUpdated,    // valid; `changed` lists the buckets that move
     kCorrupt,    // same header, but Deserialize would reject the image
@@ -383,12 +373,6 @@ class Ltc final : public SignificanceEstimator {
   /// differ, ascending.
   ImageUpdate CheckImage(std::string_view image,
                          std::vector<uint32_t>& changed) const;
-
-  /// Makes this table equal to Deserialize(image), in place: CheckImage,
-  /// then, only if it passes, the changed buckets and the scalars are
-  /// copied in. kCorrupt leaves the table untouched.
-  ImageUpdate UpdateFromImage(std::string_view image,
-                              std::vector<uint32_t>& changed);
 
   /// Exact size of Serialize's output for this table.
   size_t SerializedBytes() const;
@@ -469,7 +453,7 @@ class Ltc final : public SignificanceEstimator {
     uint32_t counter;
     uint8_t flags;
   };
-  /// The rank order of merged cells and of RankBuckets: significance
+  /// The rank order of merged cells and of the rank lanes: significance
   /// desc, then id asc. Over unique IDs it is strict and total, so a
   /// ranking does not depend on input order.
   static bool RanksBefore(const MergeCell& x, const MergeCell& y) {
@@ -549,7 +533,7 @@ class Ltc final : public SignificanceEstimator {
   /// Bucket b's cells in rank form, in cell order: each occupant with
   /// its significance, each empty cell as {-1, its index}, which ranks
   /// after every occupant. Writes the occupants' IDs to `occupants`
-  /// (when not null) and returns how many there are.
+  /// and returns how many there are.
   uint32_t LoadBucket(uint32_t b, MergeCell* cells, ItemId* occupants) const;
 
   /// Copies bucket b of a checked image into the table and loads the
@@ -559,7 +543,7 @@ class Ltc final : public SignificanceEstimator {
   uint32_t CopyBucketIn(const CellLanes& image, uint32_t b, MergeCell* cells,
                         ItemId* fresh);
 
-  /// RankBuckets' kernel: reorders `order`, one bucket's d cell indices
+  /// RefoldPush's ranking: reorders `order`, one bucket's d cell indices
   /// (zeros for a new lane), by RanksBefore over LoadBucket's `cells`,
   /// insertion-sorting from the previous order. Returns the number of
   /// occupants.
@@ -574,7 +558,7 @@ class Ltc final : public SignificanceEstimator {
     uint32_t size = 0;
   };
 
-  /// RefoldBuckets' kernel, one bucket (see there). `run` and `fresh`
+  /// RefoldPush's kernel, one bucket (see there). `run` and `fresh`
   /// are read only when the bucket takes the two-way path: the pusher's
   /// ranked bucket, and the IDs in it to check against the other
   /// sources. Returns the steps that added a shared ID.
@@ -613,14 +597,14 @@ class Ltc final : public SignificanceEstimator {
                                size_t pusher, uint32_t b,
                                std::span<const ItemId> ids);
 
-  /// RefoldBuckets' two-way path for bucket b (see there): false when
+  /// RefoldPush's two-way path for bucket b (see there): false when
   /// the cutoff test fails, and then the bucket must be refolded N-way.
   /// `alone`: the pusher is the only source, so no cutoff test is needed.
   bool RefoldAgainstPusher(const PushedRun& run, uint8_t slot, bool alone,
                            uint32_t b, FoldState& state,
                            MergeScratch& scratch);
 
-  /// RefoldBuckets' N-way path: bucket b becomes the top d of the
+  /// RefoldPush's N-way path: bucket b becomes the top d of the
   /// sources' ranked runs. `tags` (null, or bucket b's d tags) receives
   /// each kept cell's source slot.
   void RefoldAllSources(std::span<const RankedSource> sources, uint32_t b,

@@ -1,7 +1,6 @@
 #include "core/read_snapshot.h"
 
-#include <thread>
-
+#include "common/clock.h"
 #include "telemetry/trace.h"
 
 namespace ltc {
@@ -31,15 +30,16 @@ bool ReadSnapshotHub::Publish(
   const int32_t active = active_.load(std::memory_order_relaxed);
   const uint32_t idx = active == 0 ? 1u : 0u;
   Slot& slot = slots_[idx];
-  uint64_t yields = 0;
-  while (slot.readers.load(std::memory_order_seq_cst) != 0) {
-    if (++yields > spin_limit_) {
-      // Never stall the producer: keep serving the previous snapshot.
-      skipped_.fetch_add(1, std::memory_order_relaxed);
-      span.AddAttr("skipped", 1);
-      return false;
-    }
-    std::this_thread::yield();
+  if (slot.readers.load(std::memory_order_seq_cst) != 0) {
+    const uint64_t since = SystemClock().NowMicros();
+    do {
+      if (!WaitStep(since, wait_usec_)) {
+        // Bound the producer's wait: keep serving the previous snapshot.
+        skipped_.fetch_add(1, std::memory_order_relaxed);
+        span.AddAttr("skipped", 1);
+        return false;
+      }
+    } while (slot.readers.load(std::memory_order_seq_cst) != 0);
   }
   // The seq_cst load above synchronizes with the last reader's release
   // decrement, so these plain writes cannot race a stale read.

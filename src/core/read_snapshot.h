@@ -18,10 +18,10 @@
 //
 // Two slots suffice because publishes are serialized on one thread: the
 // publisher reuses the slot that readers abandoned one generation ago.
-// If a straggling reader still pins that slot, Publish spins briefly
-// and then SKIPS (keeping the previous snapshot current) rather than
-// stalling the producer — zero writer stalls is the hard guarantee;
-// snapshot freshness is best-effort at the configured cadence.
+// If a straggling reader still pins that slot, Publish waits for it at
+// most `publish_wait_usec` of wall time and then SKIPS (keeping the
+// previous snapshot current) — the writer's wait for readers is bounded
+// in time; snapshot freshness is best-effort at the configured cadence.
 //
 // Consistency model: every image is a bit-identical copy of the sketch
 // at a Flush() barrier, so every answer served from it equals the
@@ -52,13 +52,13 @@ struct ReadSnapshot {
 /// from any number of threads concurrently.
 class ReadSnapshotHub {
  public:
-  /// `publish_spin_yields`: how many sched_yield rounds Publish waits
-  /// for a straggling reader to unpin the stale slot before skipping
-  /// the publish. Point queries release in microseconds, so the
-  /// default never skips in practice; tests use tiny values to pin the
-  /// skip path.
-  explicit ReadSnapshotHub(uint64_t publish_spin_yields = 1'000'000)
-      : spin_limit_(publish_spin_yields) {}
+  /// `publish_wait_usec`: how long (wall time, microseconds) Publish
+  /// waits for a straggling reader to unpin the stale slot before
+  /// skipping the publish; 0 skips at once. The wait follows WaitStep's
+  /// rule (common/clock.h). Point queries release in microseconds, so
+  /// the default never skips in practice.
+  explicit ReadSnapshotHub(uint64_t publish_wait_usec = 500'000)
+      : wait_usec_(publish_wait_usec) {}
 
   ReadSnapshotHub(const ReadSnapshotHub&) = delete;
   ReadSnapshotHub& operator=(const ReadSnapshotHub&) = delete;
@@ -108,8 +108,9 @@ class ReadSnapshotHub {
   /// Publishes a new image. Call only from the single publisher thread,
   /// only at a quiescent barrier (the copy must not race the writer —
   /// take it under Flush()). Returns false when a straggling reader
-  /// kept the stale slot pinned past the spin budget; the previous
-  /// snapshot then simply stays current (counted in SkippedPublishes).
+  /// kept the stale slot pinned for the whole `publish_wait_usec`; the
+  /// previous snapshot then simply stays current (counted in
+  /// SkippedPublishes).
   bool Publish(std::unique_ptr<const SignificanceEstimator> table,
                uint64_t records);
 
@@ -138,7 +139,7 @@ class ReadSnapshotHub {
   std::atomic<int32_t> active_{-1};  // -1 = nothing published yet
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> skipped_{0};
-  uint64_t spin_limit_;
+  uint64_t wait_usec_;
 };
 
 }  // namespace ltc

@@ -5,38 +5,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/clock.h"
 #include "snapshot/snapshot_store.h"
 #include "telemetry/trace.h"
 
 namespace ltc {
-
-namespace {
-
-/// Silence after which a bounded wait stops yielding and sleeps. A live
-/// worker can sit descheduled for a few scheduler slices (healthy
-/// perfbench ingest_zipf rounds on a 4-vCPU VM showed silences of up to
-/// 24 ms), so no healthy wait reaches it; past it, sleeping leaves the
-/// core to the worker the wait is for instead of burning it for the rest
-/// of the bound.
-constexpr uint64_t kYieldPhaseUsec = 50'000;
-
-/// One step of a bounded wait (docs/INGEST.md "Bounded waits"): false,
-/// without waiting, once `timeout_usec` has passed since the lane's
-/// last progress at `progress_at`; otherwise a yield, or a 1 ms sleep
-/// past the yield phase. Time is the steady clock, never a FakeClock:
-/// the wait times live worker threads.
-bool WaitStep(uint64_t progress_at, uint64_t timeout_usec) {
-  const uint64_t silent = SystemClock().NowMicros() - progress_at;
-  if (silent >= timeout_usec) return false;
-  if (silent < kYieldPhaseUsec) {
-    std::this_thread::yield();
-  } else {
-    SystemClock().SleepMicros(1'000);
-  }
-  return true;
-}
-
-}  // namespace
 
 const char* IngestHealthName(IngestHealth health) {
   switch (health) {
@@ -51,9 +24,7 @@ const char* IngestHealthName(IngestHealth health) {
 }
 
 IngestPipeline::IngestPipeline(ShardedLtc& sink, const IngestConfig& config)
-    : sink_(sink),
-      config_(config),
-      clock_(config.clock != nullptr ? config.clock : &SystemClock()) {
+    : sink_(sink), config_(config) {
   assert(config_.drain_batch >= 1);
   const uint32_t shards = sink.num_shards();
   lanes_.reserve(shards);
@@ -290,13 +261,19 @@ std::string IngestPipeline::StallDetail() const {
   return detail.empty() ? "no shard backlog observed" : detail;
 }
 
-bool IngestPipeline::CheckpointOnce(std::string* error) {
+bool IngestPipeline::Checkpoint(std::string* error) {
+  assert(!stopped_ && "Checkpoint after Stop()");
+  const uint64_t start = SystemClock().NowMicros();
+  const auto fail = [&](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  };
+  if (snapshot_store_ == nullptr) return fail("no snapshot store attached");
   telemetry::Span span("ingest.checkpoint");
   if (!Flush()) {
-    if (error != nullptr) {
-      *error = "pipeline stalled; checkpoint skipped (" + StallDetail() + ")";
-    }
-    return false;
+    return fail("pipeline stalled; checkpoint skipped (" + StallDetail() +
+                ")");
   }
   // After a complete Flush every worker has applied its backlog and is
   // idle-polling an empty ring; only this (producer) thread can make
@@ -305,40 +282,8 @@ bool IngestPipeline::CheckpointOnce(std::string* error) {
   sink_.Serialize(writer);
   std::string save_error;
   const auto seq = snapshot_store_->Save(writer.data(), &save_error);
-  if (!seq.has_value()) {
-    if (error != nullptr) *error = save_error;
-    return false;
-  }
+  if (!seq.has_value()) return fail(std::move(save_error));
   last_checkpoint_seq_ = *seq;
-  return true;
-}
-
-bool IngestPipeline::Checkpoint(std::string* error) {
-  assert(!stopped_ && "Checkpoint after Stop()");
-  const uint64_t start = SystemClock().NowMicros();
-  if (snapshot_store_ == nullptr) {
-    if (error != nullptr) *error = "no snapshot store attached";
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // The whole attempt (flush + serialize + save) retries under the
-  // backoff policy: a lane that drains again mid-backoff, or a
-  // transient save failure, costs a delay instead of the checkpoint.
-  std::string attempt_error;
-  uint64_t retries = 0;
-  const bool ok = RetryWithBackoff(
-      config_.checkpoint_retry, *clock_,
-      [&] {
-        attempt_error.clear();
-        return CheckpointOnce(&attempt_error);
-      },
-      &retries);
-  checkpoint_retries_.fetch_add(retries, std::memory_order_relaxed);
-  if (!ok) {
-    if (error != nullptr) *error = attempt_error;
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   checkpoint_duration_usec_.Record(SystemClock().NowMicros() - start);
   return true;
@@ -435,10 +380,6 @@ void IngestPipeline::Collect(telemetry::MetricsRegistry& registry) const {
                  "Checkpoint attempts by result",
                  {{"result", "error"}})
       .SetFromSample(CheckpointFailures());
-  registry
-      .CounterOf("ltc_ingest_checkpoint_retries_total",
-                 "Checkpoint attempt re-runs under the backoff policy")
-      .SetFromSample(CheckpointRetries());
   registry
       .GaugeOf("ltc_ingest_stalled",
                "1 from a bounded wait that expired on a dead/stuck worker "

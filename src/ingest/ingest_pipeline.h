@@ -44,10 +44,9 @@
 // cadence the caller keeps (ltc_cli: every --checkpoint-every records)
 // to persist the sink — each checkpoint rides the Flush() barrier
 // (flush → serialize → atomic save → resume feeding; workers never
-// restart). Checkpoint attempts retry per `checkpoint_retry` with
-// exponential backoff on the injectable clock, so a transiently stalled
-// flush or failed save heals instead of failing the interval. See
-// docs/DURABILITY.md.
+// restart). A checkpoint is one attempt: the stall bound owns the wait
+// for a slow lane, and the store's own retry policy owns re-attempts of
+// the write. See docs/DURABILITY.md.
 //
 // Threading contract: Push / PushBatch / Flush / Stop / Checkpoint must
 // all be called from ONE producer thread. Queries on the ShardedLtc are
@@ -67,8 +66,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/backoff.h"
-#include "common/clock.h"
 #include "core/read_snapshot.h"
 #include "core/sharded_ltc.h"
 #include "ingest/spsc_ring.h"
@@ -138,18 +135,6 @@ struct IngestConfig {
 
   /// Overload shedding under sustained queue pressure (off by default).
   ShedPolicy shed;
-
-  /// Retry policy for Checkpoint(): each failed attempt (stalled flush
-  /// OR failed save) is retried after a backoff sleep on `clock`. The
-  /// default (max_attempts = 1) keeps the historical fail-fast
-  /// behaviour.
-  BackoffPolicy checkpoint_retry;
-
-  /// Clock for checkpoint-retry sleeps only; nullptr = SystemClock().
-  /// Tests pass a FakeClock to pin the backoff schedule. The stall bound
-  /// reads the steady clock: a fake one cannot tell a live worker the
-  /// scheduler has not run yet from a dead one.
-  Clock* clock = nullptr;
 };
 
 /// Per-shard operational counters (see IngestPipeline::ShardStatsOf).
@@ -219,14 +204,12 @@ class IngestPipeline {
   /// its own: the caller decides the cadence.
   void AttachSnapshotStore(SnapshotStore* store) { snapshot_store_ = store; }
 
-  /// Takes a checkpoint NOW: Flush(), serialize the sink, atomically
-  /// persist it to the attached store — retrying the whole attempt per
-  /// config.checkpoint_retry (a lane that drains again mid-backoff lets
-  /// the next attempt's flush complete). Returns false (with `error`
-  /// naming the stalled shards and their queue depths, or the save
-  /// failure) only when every attempt failed — the previously
-  /// persisted snapshots are untouched either way. Producer thread
-  /// only.
+  /// Takes a checkpoint NOW: one Flush(), one serialization of the sink
+  /// and one SnapshotStore::Save, which re-attempts the write per the
+  /// store's own retry policy. Returns false (with `error` naming the
+  /// stalled shards and their queue depths, or the save failure) when
+  /// the flush stalled or the save failed — the previously persisted
+  /// snapshots are untouched either way. Producer thread only.
   bool Checkpoint(std::string* error = nullptr);
 
   /// Checkpoints successfully taken / failed since construction, and
@@ -238,12 +221,6 @@ class IngestPipeline {
     return checkpoint_failures_.load(std::memory_order_relaxed);
   }
   uint64_t LastCheckpointSeq() const { return last_checkpoint_seq_; }
-
-  /// Checkpoint attempt re-runs the backoff loop has made (0 while
-  /// every checkpoint succeeds first try). Any thread.
-  uint64_t CheckpointRetries() const {
-    return checkpoint_retries_.load(std::memory_order_relaxed);
-  }
 
   /// Latched true once any bounded wait expired (dead/stuck worker);
   /// cleared by the next Flush() that applies every accepted record.
@@ -336,9 +313,6 @@ class IngestPipeline {
   void PushRunShedding(Lane& lane, std::span<const Record> run);
   void UpdateShedState(Lane& lane);
 
-  // One checkpoint attempt (no counters); Checkpoint() retries it.
-  bool CheckpointOnce(std::string* error);
-
   // "shard 1: queue_depth 64/64, drained 100/164; shard 3: ..." for
   // every lane with an undrained backlog.
   std::string StallDetail() const;
@@ -347,7 +321,6 @@ class IngestPipeline {
 
   ShardedLtc& sink_;
   IngestConfig config_;
-  Clock* clock_;  // checkpoint-retry sleeps
   std::vector<std::unique_ptr<Lane>> lanes_;  // stable addresses for threads
   std::vector<std::vector<Record>> route_runs_;  // PushBatch scratch
   std::atomic<bool> stop_{false};
@@ -362,7 +335,6 @@ class IngestPipeline {
   SnapshotStore* snapshot_store_ = nullptr;
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::atomic<uint64_t> checkpoint_failures_{0};
-  std::atomic<uint64_t> checkpoint_retries_{0};
   uint64_t last_checkpoint_seq_ = 0;
 
   // Barrier latencies (producer-recorded, published by Collect).

@@ -151,7 +151,7 @@ void AggregatorCore::RefoldAndPublish(uint64_t pusher_id,
   if (hub_ != nullptr) {
     // Best-effort publish: a straggling reader may pin the stale slot,
     // in which case the previous merged image simply stays current and
-    // the next push republishes (the hub never blocks its publisher).
+    // the next push republishes (the hub bounds its publisher's wait).
     hub_->Publish(std::make_unique<Ltc>(merged_), records);
   }
 }

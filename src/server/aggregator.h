@@ -155,7 +155,7 @@ class AggregatorCore {
     uint64_t records = 0;
     uint64_t last_push_usec = 0;
     Ltc sketch;
-    std::vector<uint32_t> rank;  // sketch's rank lane (Ltc::RankBuckets)
+    std::vector<uint32_t> rank;  // sketch's rank lane (Ltc::RankedSource)
     size_t slot;  // the fold's tag for this node: its first-push order
 
     NodeState(Ltc s, size_t first_push_order)

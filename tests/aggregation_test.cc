@@ -413,7 +413,12 @@ TEST(Aggregator, InPlaceApplyJudgesEveryFlippedByteLikeTheFullPath) {
     Ltc held = *Ltc::Deserialize(base_reader);
     const Ltc before = held;
     std::vector<uint32_t> changed;
-    ASSERT_EQ(held.UpdateFromImage(next, changed), Ltc::ImageUpdate::kUpdated);
+    ASSERT_EQ(held.CheckImage(next, changed), Ltc::ImageUpdate::kUpdated);
+    // A one-source fold copies the checked image into `held`.
+    Ltc fold(config);
+    std::vector<uint32_t> rank(held.num_cells());
+    const Ltc::RankedSource source{&held, rank};
+    fold.RefoldPush({&source, 1}, changed, nullptr, 0, {&held, rank}, next);
     EXPECT_EQ(SerializeTable(held), next);
     EXPECT_EQ(changed, before.ChangedBuckets(held));
     EXPECT_FALSE(changed.empty());

@@ -1,8 +1,8 @@
 // The retry/backoff layer, asserted deterministically: BackoffSchedule
 // delay sequences (growth, cap, seeded jitter), the RetryWithBackoff
-// driver on a FakeClock, and the two call sites that opt in —
-// SnapshotStore::Save against FailpointFs fault bursts and
-// IngestPipeline::Checkpoint. No test here sleeps real time.
+// driver on a FakeClock, and the call site that opts in —
+// SnapshotStore::Save against FailpointFs fault bursts, directly and
+// under IngestPipeline::Checkpoint. No test here sleeps real time.
 
 #include <filesystem>
 #include <string>
@@ -237,32 +237,32 @@ TEST_F(SnapshotRetryTest, CheckpointRetriesThroughTransientSaveFailure) {
   LtcConfig sketch_config;
   sketch_config.memory_bytes = 16 * 1024;
   ShardedLtc sink(sketch_config, 2);
+  IngestPipeline pipeline(sink, {});
 
+  // The store owns the checkpoint's retries: one flush, one serialize,
+  // and the save re-attempted under the store's backoff.
   FakeClock clock;
-  IngestConfig config;
-  config.checkpoint_retry.max_attempts = 3;
-  config.checkpoint_retry.initial_delay_usec = 2'000;
-  config.checkpoint_retry.multiplier = 2.0;
-  config.clock = &clock;
-  IngestPipeline pipeline(sink, config);
-
+  SnapshotStoreConfig store_config;
+  store_config.retry.max_attempts = 3;
+  store_config.retry.initial_delay_usec = 2'000;
+  store_config.retry.multiplier = 2.0;
   FailpointFs fs(SystemFs());
-  SnapshotStore store(base_, {}, &fs);  // store itself: fail-fast
+  SnapshotStore store(base_, store_config, &fs, &clock);
   pipeline.AttachSnapshotStore(&store);
 
   std::vector<Record> records;
   for (ItemId i = 1; i <= 500; ++i) records.push_back({i, 0.001 * i});
   pipeline.PushBatch(records);
 
-  // Two checkpoint attempts lose their save to the fault burst; the
-  // third succeeds. The whole recovery happens under the pipeline's
-  // backoff, invisible to the caller except in the retry counter.
+  // Two save attempts lose their write to the fault burst; the third
+  // succeeds. The whole recovery happens under the store's backoff,
+  // invisible to the caller except in the retry counter.
   fs.Arm(FailpointFs::Failure::kWriteError, 0, 0, /*burst=*/2);
   std::string error;
   ASSERT_TRUE(pipeline.Checkpoint(&error)) << error;
   EXPECT_EQ(pipeline.CheckpointsTaken(), 1u);
   EXPECT_EQ(pipeline.CheckpointFailures(), 0u);
-  EXPECT_EQ(pipeline.CheckpointRetries(), 2u);
+  EXPECT_EQ(store.SaveRetries(), 2u);
   ASSERT_EQ(clock.sleeps_usec().size(), 2u);
   EXPECT_EQ(clock.sleeps_usec()[0], 2'000u);
   EXPECT_EQ(clock.sleeps_usec()[1], 4'000u);
@@ -285,7 +285,7 @@ TEST_F(SnapshotRetryTest, CheckpointDefaultStaysSingleAttempt) {
   std::string error;
   EXPECT_FALSE(pipeline.Checkpoint(&error));
   EXPECT_EQ(pipeline.CheckpointFailures(), 1u);
-  EXPECT_EQ(pipeline.CheckpointRetries(), 0u);
+  EXPECT_EQ(store.SaveRetries(), 0u);
   pipeline.Stop();
 }
 

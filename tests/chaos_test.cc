@@ -264,12 +264,6 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   // silence, not after the default 2 s; the final flush, with every
   // worker live, must complete.
   ingest.stall_timeout_usec = 250'000;
-  // Generous checkpoint retries: mid-chaos attempts may meet an armed
-  // I/O burst, which backoff outlasts, or a hang (stalled flush), which
-  // lasts until a later Step releases it.
-  ingest.checkpoint_retry.max_attempts = 5;
-  ingest.checkpoint_retry.initial_delay_usec = 2'000;
-  ingest.checkpoint_retry.max_delay_usec = 20'000;
   IngestPipeline pipeline(piped, ingest);
   telemetry::MetricsRegistry registry;
 

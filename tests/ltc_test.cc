@@ -612,13 +612,45 @@ std::string Bytes(const Ltc& table) {
   return writer.data();
 }
 
-/// The fold RefoldBuckets must reproduce: MergeFrom over `sources`, in
+/// The fold RefoldPush must reproduce: MergeFrom over `sources`, in
 /// order, into a fresh table.
 std::string MergeFromFold(const LtcConfig& config,
                           const std::vector<Ltc>& sources) {
   Ltc fold(config);
   for (const Ltc& source : sources) EXPECT_TRUE(fold.MergeFrom(source));
   return Bytes(fold);
+}
+
+/// `sources` as the fold's inputs, source s with rank lane ranks[s] and
+/// tag slot s.
+std::vector<Ltc::RankedSource> Ranked(
+    std::vector<Ltc>& sources, std::vector<std::vector<uint32_t>>& ranks) {
+  std::vector<Ltc::RankedSource> list;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    list.push_back({&sources[s], ranks[s], static_cast<uint8_t>(s)});
+  }
+  return list;
+}
+
+/// Folds `sources` into the empty `fold` as the aggregator folds new
+/// nodes: one RefoldPush per source, in order, over every bucket, with
+/// that source as the pusher and its table already holding its cells.
+/// Leaves each source's rank lane in `ranks`. Returns the last call's
+/// count, which lists every bucket and so counts every step of the
+/// MergeFrom fold over `sources` that added a shared ID.
+uint64_t FoldNewSources(Ltc& fold, Ltc::FoldState& state,
+                        std::vector<Ltc>& sources,
+                        std::vector<std::vector<uint32_t>>& ranks) {
+  std::vector<uint32_t> all(fold.num_buckets());
+  std::iota(all.begin(), all.end(), 0u);
+  ranks.assign(sources.size(), std::vector<uint32_t>(fold.num_cells()));
+  const std::vector<Ltc::RankedSource> list = Ranked(sources, ranks);
+  uint64_t matched = 0;
+  for (size_t s = 0; s < sources.size(); ++s) {
+    matched = fold.RefoldPush(std::span(list).first(s + 1), all, &state, s,
+                              {&sources[s], ranks[s]}, {});
+  }
+  return matched;
 }
 
 TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
@@ -638,7 +670,9 @@ TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
         config.items_per_period = 500;
         config.long_tail_replacement = ltr;
         Rng rng(d * 4 + (ltr ? 2 : 0) + (partitioned ? 1 : 0));
-        std::vector<Ltc> sources(3, Ltc(config));
+        // Each source is a finalized image of a live stream, as a node
+        // pushes it: a finalized table takes no further inserts.
+        std::vector<Ltc> live(3, Ltc(config));
         // More distinct items than cells, a few of them hot: every
         // bucket fills.
         const auto feed = [&](size_t s, uint64_t records) {
@@ -647,29 +681,24 @@ TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
                 1 + rng.Uniform(rng.Bernoulli(0.3) ? cells / 4 : 2 * cells);
             // Partitioned ids interleave across sources, so id
             // tie-breaks between runs go either way.
-            sources[s].Insert(partitioned ? item * 3 + s : item);
+            live[s].Insert(partitioned ? item * 3 + s : item);
           }
-          sources[s].Finalize();
         };
-        for (size_t s = 0; s < sources.size(); ++s) feed(s, 3 * cells);
-
-        std::vector<uint32_t> all(sources[0].num_buckets());
-        std::iota(all.begin(), all.end(), 0u);
-        std::vector<std::vector<uint32_t>> ranks;
-        for (const Ltc& source : sources) {
-          ranks.emplace_back(source.num_cells());
-          source.RankBuckets(all, ranks.back());
+        const auto image_of = [&](size_t s) {
+          Ltc image = live[s].CloneAtBarrier();
+          image.Finalize();
+          return image;
+        };
+        std::vector<Ltc> sources;
+        for (size_t s = 0; s < live.size(); ++s) {
+          feed(s, 3 * cells);
+          sources.push_back(image_of(s));
         }
-        const auto ranked = [&] {
-          std::vector<Ltc::RankedSource> list;
-          for (size_t s = 0; s < sources.size(); ++s) {
-            list.push_back({&sources[s], ranks[s]});
-          }
-          return list;
-        };
 
         Ltc fold(config);
-        const uint64_t matched = fold.RefoldBuckets(ranked(), all);
+        Ltc::FoldState state(fold);
+        std::vector<std::vector<uint32_t>> ranks;
+        const uint64_t matched = FoldNewSources(fold, state, sources, ranks);
         EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
         EXPECT_TRUE(fold.CheckInvariants());
         // Disjoint items never share an ID; overlapping ones do.
@@ -679,33 +708,27 @@ TEST(Ltc, RankedRefoldOfABucketListEqualsTheMergeFromFold) {
           EXPECT_GT(matched, 0u);
         }
 
-        // The middle source moves on: refold and re-rank only the
-        // buckets it changed.
-        const Ltc before = sources[1];
+        // The middle source moves on and pushes its new image: refold
+        // and re-rank only the buckets it changed.
         feed(1, 4);
-        const std::vector<uint32_t> changed = before.ChangedBuckets(sources[1]);
+        const std::string image = Bytes(image_of(1));
+        std::vector<uint32_t> changed;
+        ASSERT_EQ(sources[1].CheckImage(image, changed),
+                  Ltc::ImageUpdate::kUpdated);
         ASSERT_FALSE(changed.empty());
-        sources[1].RankBuckets(changed, ranks[1]);
-        fold.RefoldBuckets(ranked(), changed);
+        fold.RefoldPush(Ranked(sources, ranks), changed, &state, 1,
+                        {&sources[1], ranks[1]}, image);
         EXPECT_EQ(Bytes(fold), MergeFromFold(config, sources));
       }
     }
   }
 }
 
-/// RefoldBuckets over `sources`, every bucket ranked and listed.
-uint64_t RefoldAll(Ltc& fold, const std::vector<Ltc>& sources) {
-  std::vector<uint32_t> all(fold.num_buckets());
-  std::iota(all.begin(), all.end(), 0u);
+/// FoldNewSources over copies of `sources`, into the empty `fold`.
+uint64_t RefoldAll(Ltc& fold, std::vector<Ltc> sources) {
+  Ltc::FoldState state(fold);
   std::vector<std::vector<uint32_t>> ranks;
-  std::vector<Ltc::RankedSource> list;
-  ranks.reserve(sources.size());
-  for (const Ltc& source : sources) {
-    ranks.emplace_back(source.num_cells());
-    source.RankBuckets(all, ranks.back());
-    list.push_back({&source, ranks.back()});
-  }
-  return fold.RefoldBuckets(list, all);
+  return FoldNewSources(fold, state, sources, ranks);
 }
 
 TEST(Ltc, RankedRefoldOfIdsSharedAcrossSourcesEqualsTheMergeFromFold) {
@@ -773,7 +796,10 @@ TEST(Ltc, RankBucketsOrdersOccupantsBestFirstThenEmpties) {
   for (ItemId item : {9, 5, 7, 7, 7, 9, 5, 3}) table.Insert(item);
   std::vector<uint32_t> rank(table.num_cells());
   const std::vector<uint32_t> bucket = {0};
-  table.RankBuckets(bucket, rank);
+  // A one-source fold ranks the pushed bucket into the source's lane.
+  Ltc fold(config);
+  const Ltc::RankedSource source{&table, rank};
+  fold.RefoldPush({&source, 1}, bucket, nullptr, 0, {&table, rank}, {});
   // Cells fill in arrival order: 9, 5, 7, 3, then two empties.
   EXPECT_EQ((std::vector<uint32_t>(rank.begin(), rank.begin() + 4)),
             (std::vector<uint32_t>{2, 1, 0, 3}));

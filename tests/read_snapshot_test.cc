@@ -8,6 +8,7 @@
 // read path (wired into the tsan CI job next to ingest_pipeline_test).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,9 +83,9 @@ TEST(ReadSnapshotHub, ReaderPinKeepsItsImageAcrossAPublish) {
 }
 
 TEST(ReadSnapshotHub, StragglingReaderSkipsThePublishNeverStallsIt) {
-  // spin limit 0: a pinned stale slot is skipped immediately — Publish
-  // must return rather than wait (the zero-writer-stalls guarantee).
-  ReadSnapshotHub hub(/*publish_spin_yields=*/0);
+  // Wait bound 0: a pinned stale slot is skipped immediately — Publish
+  // must return rather than wait.
+  ReadSnapshotHub hub(/*publish_wait_usec=*/0);
   ASSERT_TRUE(hub.Publish(TableWithFreq(1), 1));  // slot A, seq 1
   ReadSnapshotHub::Ref straggler = hub.Acquire();  // pins slot A
   ASSERT_TRUE(straggler);
@@ -101,6 +102,43 @@ TEST(ReadSnapshotHub, StragglingReaderSkipsThePublishNeverStallsIt) {
   // Straggler done: the next publish lands (slot A recycled).
   straggler = ReadSnapshotHub::Ref();
   EXPECT_TRUE(hub.Publish(TableWithFreq(3), 3));
+  EXPECT_EQ(hub.PublishedSeq(), 3u);
+}
+
+TEST(ReadSnapshotHub, PinnedStaleSlotSkipsThePublishOnceTheBoundPasses) {
+  constexpr uint64_t kBoundUsec = 20'000;
+  ReadSnapshotHub hub(kBoundUsec);
+  ASSERT_TRUE(hub.Publish(TableWithFreq(1), 1));  // slot A, seq 1
+  const ReadSnapshotHub::Ref straggler = hub.Acquire();  // pins slot A
+  ASSERT_TRUE(straggler);
+  ASSERT_TRUE(hub.Publish(TableWithFreq(2), 2));  // slot B, seq 2
+
+  // Slot A stays pinned for the whole wait: Publish gives up, in wall
+  // time, no sooner than the bound.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(hub.Publish(TableWithFreq(3), 3));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::microseconds(kBoundUsec));
+  EXPECT_EQ(hub.SkippedPublishes(), 1u);
+  EXPECT_EQ(hub.PublishedSeq(), 2u);
+}
+
+TEST(ReadSnapshotHub, ReaderReleasingWithinTheBoundLetsThePublishLand) {
+  constexpr uint64_t kBoundUsec = 250'000;
+  ReadSnapshotHub hub(kBoundUsec);
+  ASSERT_TRUE(hub.Publish(TableWithFreq(1), 1));  // slot A, seq 1
+  ReadSnapshotHub::Ref straggler = hub.Acquire();  // pins slot A
+  ASSERT_TRUE(straggler);
+  ASSERT_TRUE(hub.Publish(TableWithFreq(2), 2));  // slot B, seq 2
+
+  // Another thread unpins slot A a fifth of the way into the bound.
+  std::thread reader([ref = std::move(straggler)]() mutable {
+    std::this_thread::sleep_for(std::chrono::microseconds(kBoundUsec / 5));
+    ref = ReadSnapshotHub::Ref();
+  });
+  EXPECT_TRUE(hub.Publish(TableWithFreq(3), 3));
+  reader.join();
+  EXPECT_EQ(hub.SkippedPublishes(), 0u);
   EXPECT_EQ(hub.PublishedSeq(), 3u);
 }
 

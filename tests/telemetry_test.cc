@@ -590,7 +590,6 @@ TEST(CollectOneSource, CoreSinkPublishesItsOwnFields) {
 
 TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   ShardedLtc sharded(SmallConfig(), 2);
-  FakeClock clock;
   IngestConfig config;
   config.ring_capacity = 64;
   // A blocked push gives up after 250 ms of silence; the later Flush()
@@ -601,11 +600,13 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   config.shed.enabled = true;
   config.shed.high_watermark = 1.0;
   config.shed.sustain = 2;
-  config.checkpoint_retry.max_attempts = 2;
-  config.clock = &clock;
   IngestPipeline pipeline(sharded, config);
   FailpointFs fs(SystemFs());
-  SnapshotStore store(FreshDir("collect_ingest") + "/ckpt", {}, &fs);
+  FakeClock clock;
+  SnapshotStoreConfig store_config;
+  store_config.retry.max_attempts = 2;
+  SnapshotStore store(FreshDir("collect_ingest") + "/ckpt", store_config, &fs,
+                      &clock);
   pipeline.AttachSnapshotStore(&store);
 
   ItemId item = 1;  // 0 is the reserved empty-cell id
@@ -618,7 +619,7 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   // Too few to fill a ring again: no second bounded wait can expire.
   for (ItemId i = 1; i <= 20; ++i) pipeline.Push(i);
   ASSERT_TRUE(pipeline.Flush());
-  // The first attempt's save fails once; the pipeline's retry lands it.
+  // The first save attempt fails once; the store's retry lands it.
   fs.Arm(FailpointFs::Failure::kWriteError, fs.mutating_ops());
   std::string error;
   ASSERT_TRUE(pipeline.Checkpoint(&error)) << error;
@@ -656,22 +657,20 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   // The drive did what it claims.
   EXPECT_EQ(pipeline.ShardStatsOf(0).dropped, 1u);
   EXPECT_GE(pipeline.ShardStatsOf(0).shed, 1u);  // until the ring drains
-  EXPECT_EQ(pipeline.CheckpointRetries(), 1u);
+  EXPECT_EQ(store.SaveRetries(), 1u);
   EXPECT_EQ(Published(registry, "ltc_ingest_checkpoints_total",
                       {{"result", "ok"}}),
             pipeline.CheckpointsTaken());
   EXPECT_EQ(Published(registry, "ltc_ingest_checkpoints_total",
                       {{"result", "error"}}),
             pipeline.CheckpointFailures());
-  EXPECT_EQ(Published(registry, "ltc_ingest_checkpoint_retries_total"),
-            pipeline.CheckpointRetries());
   EXPECT_EQ(Published(registry, "ltc_ingest_stalled"),
             pipeline.stalled() ? 1.0 : 0.0);
   EXPECT_EQ(Published(registry, "ltc_ingest_health_state"),
             static_cast<double>(pipeline.health()));
   // Every Flush() call recorded one latency: the explicit one and the
-  // two checkpoint attempts'.
-  EXPECT_EQ(flushes, 3u);
+  // checkpoint's.
+  EXPECT_EQ(flushes, 2u);
   EXPECT_EQ(Published(registry, "ltc_ingest_flush_duration_usec"), flushes);
   EXPECT_EQ(Published(registry, "ltc_ingest_checkpoint_duration_usec"),
             pipeline.CheckpointsTaken());
