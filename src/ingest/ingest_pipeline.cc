@@ -11,18 +11,6 @@
 
 namespace ltc {
 
-const char* IngestHealthName(IngestHealth health) {
-  switch (health) {
-    case IngestHealth::kHealthy:
-      return "healthy";
-    case IngestHealth::kDegraded:
-      return "degraded";
-    case IngestHealth::kStalled:
-      return "stalled";
-  }
-  return "unknown";
-}
-
 IngestPipeline::IngestPipeline(ShardedLtc& sink, const IngestConfig& config)
     : sink_(sink), config_(config) {
   assert(config_.drain_batch >= 1);
@@ -31,15 +19,6 @@ IngestPipeline::IngestPipeline(ShardedLtc& sink, const IngestConfig& config)
   route_runs_.assign(shards, {});
   for (uint32_t s = 0; s < shards; ++s) {
     lanes_.push_back(std::make_unique<Lane>(config_.ring_capacity));
-    Lane& lane = *lanes_.back();
-    // Shed watermarks in records, against the ACTUAL (rounded) capacity.
-    const double cap = static_cast<double>(lane.ring.capacity());
-    lane.high_threshold = std::max<size_t>(
-        1, std::min(lane.ring.capacity(),
-                    static_cast<size_t>(cap * config_.shed.high_watermark)));
-    lane.low_threshold =
-        std::min(lane.high_threshold - 1,
-                 static_cast<size_t>(cap * config_.shed.low_watermark));
   }
   // Spawn only after every lane exists: a worker touches just its own
   // lane and shard, but the vector itself must never reallocate under it.
@@ -88,58 +67,7 @@ void IngestPipeline::WorkerLoop(uint32_t shard_index) {
   }
 }
 
-void IngestPipeline::UpdateShedState(Lane& lane) {
-  const size_t depth = lane.ring.SizeApprox();
-  const uint32_t sustain = std::max<uint32_t>(1, config_.shed.sustain);
-  if (depth >= lane.high_threshold) {
-    lane.under_streak = 0;
-    if (!lane.shedding.load(std::memory_order_relaxed) &&
-        ++lane.over_streak >= sustain) {
-      lane.shedding.store(true, std::memory_order_relaxed);
-      lane.over_streak = 0;
-    }
-  } else if (depth <= lane.low_threshold) {
-    lane.over_streak = 0;
-    if (lane.shedding.load(std::memory_order_relaxed) &&
-        ++lane.under_streak >= sustain) {
-      lane.shedding.store(false, std::memory_order_relaxed);
-      lane.under_streak = 0;
-    }
-  } else {
-    // Between the watermarks: hysteresis — neither streak advances.
-    lane.over_streak = 0;
-    lane.under_streak = 0;
-  }
-}
-
-void IngestPipeline::PushRunShedding(Lane& lane,
-                                     std::span<const Record> run) {
-  // Counted probabilistic admission: admit one record in admit_one_in,
-  // and only if the ring has room RIGHT NOW — a shedding producer never
-  // spins. Everything else is shed, and counted.
-  const uint32_t admit_one_in = std::max<uint32_t>(1, config_.shed.admit_one_in);
-  uint64_t accepted = 0;
-  uint64_t shed = 0;
-  for (const Record& record : run) {
-    if (++lane.shed_tick % admit_one_in == 0 && lane.ring.TryPush(record)) {
-      ++accepted;
-    } else {
-      ++shed;
-    }
-  }
-  lane.enqueued.fetch_add(accepted, std::memory_order_relaxed);
-  lane.shed.fetch_add(shed, std::memory_order_relaxed);
-}
-
 bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
-  if (config_.shed.enabled &&
-      config_.backpressure == BackpressureMode::kBlock) {
-    UpdateShedState(lane);
-    if (lane.shedding.load(std::memory_order_relaxed)) {
-      PushRunShedding(lane, run);
-      return true;
-    }
-  }
   uint64_t accepted = 0;
   bool delivered = true;
   uint64_t progress_at = 0;  // read once the ring first fills
@@ -148,15 +76,11 @@ bool IngestPipeline::PushRun(Lane& lane, std::span<const Record> run) {
     accepted += pushed;
     run = run.subspan(pushed);
     if (run.empty()) break;
-    if (config_.backpressure == BackpressureMode::kDrop) {
-      lane.dropped.fetch_add(run.size(), std::memory_order_relaxed);
-      break;
-    }
     if (pushed > 0 || progress_at == 0) progress_at = SystemClock().NowMicros();
     if (!WaitStep(progress_at, config_.stall_timeout_usec)) {
-      // kBlock escape hatch: the worker made no room for the whole
-      // bounded wait — treat it as dead, surface the stall, and account
-      // for the records we could not deliver.
+      // Escape hatch: the worker made no room for the whole bounded
+      // wait — treat it as dead, surface the stall, and account for the
+      // records we could not deliver.
       stalled_.store(true, std::memory_order_release);
       lane.dropped.fetch_add(run.size(), std::memory_order_relaxed);
       delivered = false;
@@ -289,27 +213,6 @@ bool IngestPipeline::Checkpoint(std::string* error) {
   return true;
 }
 
-IngestHealth IngestPipeline::health() const {
-  if (stalled()) return IngestHealth::kStalled;
-  if (AnyShedding()) return IngestHealth::kDegraded;
-  return IngestHealth::kHealthy;
-}
-
-bool IngestPipeline::AnyShedding() const {
-  for (const auto& lane : lanes_) {
-    if (lane->shedding.load(std::memory_order_relaxed)) return true;
-  }
-  return false;
-}
-
-uint64_t IngestPipeline::TotalShed() const {
-  uint64_t total = 0;
-  for (const auto& lane : lanes_) {
-    total += lane->shed.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 void IngestPipeline::SuspendWorkersForTest(bool suspended) {
   for (uint32_t s = 0; s < lanes_.size(); ++s) {
     HangWorkerForTest(s, suspended);
@@ -336,14 +239,10 @@ void IngestPipeline::Collect(telemetry::MetricsRegistry& registry) const {
         .SetFromSample(stats.enqueued);
     registry
         .CounterOf("ltc_ingest_dropped_total",
-                   "Records discarded by kDrop backpressure or a stalled "
-                   "kBlock push",
+                   "Records discarded by a push wait that expired on a "
+                   "stalled lane",
                    shard_label)
         .SetFromSample(stats.dropped);
-    registry
-        .CounterOf("ltc_ingest_shed_records_total",
-                   "Records rejected by overload shedding", shard_label)
-        .SetFromSample(stats.shed);
     registry
         .CounterOf("ltc_ingest_drained_total",
                    "Records applied to the shard table", shard_label)
@@ -356,11 +255,6 @@ void IngestPipeline::Collect(telemetry::MetricsRegistry& registry) const {
         .CounterOf("ltc_ingest_flushes_total",
                    "Flush() waits this shard's lane completed", shard_label)
         .SetFromSample(stats.flushes);
-    registry
-        .GaugeOf("ltc_ingest_shed_active",
-                 "1 while the lane is in counted probabilistic admission",
-                 shard_label)
-        .Set(stats.shedding ? 1.0 : 0.0);
     registry
         .GaugeOf("ltc_ingest_queue_depth",
                  "Ring occupancy at sampling time (racy)", shard_label)
@@ -385,11 +279,6 @@ void IngestPipeline::Collect(telemetry::MetricsRegistry& registry) const {
                "1 from a bounded wait that expired on a dead/stuck worker "
                "until the next complete Flush()")
       .Set(stalled() ? 1.0 : 0.0);
-  registry
-      .GaugeOf("ltc_ingest_health_state",
-               "Pipeline health state machine: 0 healthy, 1 degraded, 2 "
-               "stalled")
-      .Set(static_cast<double>(health()));
   registry
       .HistogramOf("ltc_ingest_flush_duration_usec",
                    "Latency of Flush() barriers in microseconds")
@@ -454,11 +343,9 @@ IngestShardStats IngestPipeline::ShardStatsOf(uint32_t shard) const {
   IngestShardStats stats;
   stats.enqueued = lane.enqueued.load(std::memory_order_relaxed);
   stats.dropped = lane.dropped.load(std::memory_order_relaxed);
-  stats.shed = lane.shed.load(std::memory_order_relaxed);
   stats.drained = lane.drained.load(std::memory_order_relaxed);
   stats.batches = lane.batches.load(std::memory_order_relaxed);
   stats.flushes = lane.flushes.load(std::memory_order_relaxed);
-  stats.shedding = lane.shedding.load(std::memory_order_relaxed);
   stats.queue_depth = lane.ring.SizeApprox();
   stats.ring_capacity = lane.ring.capacity();
   return stats;

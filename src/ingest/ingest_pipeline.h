@@ -14,13 +14,12 @@
 // stream — parallelism buys throughput, never a different answer
 // (pinned by tests/ingest_pipeline_test.cc).
 //
-// Backpressure on a full ring is configurable: kBlock (the producer
-// waits for the worker to make room; it loses records only when that
-// wait expires) or kDrop (the record is counted and discarded — bounded
-// producer latency under overload, like a NIC queue). kBlock's wait is
-// BOUNDED: a lane that makes no progress for `stall_timeout_usec` of
-// wall time latches stalled() and its stuck records are counted as
-// dropped, instead of wedging the producer forever.
+// Backpressure on a full ring is one rule: the producer waits for the
+// worker to make room. The wait is BOUNDED: a lane that makes no
+// progress for `stall_timeout_usec` of wall time latches stalled() and
+// its stuck records are counted as dropped, instead of wedging the
+// producer forever. That expiry is the only way a record is lost
+// (pushed = enqueued + dropped, always).
 //
 // Worker lifetime (docs/INGEST.md "Failure handling & degradation"):
 // each lane keeps the one worker the constructor spawned until Stop(),
@@ -29,16 +28,7 @@
 // replaces a worker that stops draining: its lane shows as a stall
 // (bounded waits expire, stalled() latches, StallDetail names the
 // backlog) until it drains again and a Flush() completes, or until
-// Stop() applies the leftover backlog inline. health() summarises this
-// as Healthy / Degraded (a lane is shedding) / Stalled.
-//
-// Overload shedding (opt-in, kBlock only): when a lane's queue depth
-// stays above the high watermark for `sustain` consecutive pushes (a
-// Push call, or one PushBatch slice routed to that lane), the
-// producer switches that lane to counted probabilistic admission —
-// admit one record in `admit_one_in`, never spin — until depth holds
-// below the low watermark. Every shed record is counted
-// (pushed = enqueued + dropped + shed, always).
+// Stop() applies the leftover backlog inline.
 //
 // Durability: attach a SnapshotStore and call Checkpoint() at whatever
 // cadence the caller keeps (ltc_cli: every --checkpoint-every records)
@@ -51,8 +41,8 @@
 // Threading contract: Push / PushBatch / Flush / Stop / Checkpoint must
 // all be called from ONE producer thread. Queries on the ShardedLtc are
 // only safe after Flush() (all queued records applied, memory-visible)
-// or Stop(). health(), stalled(), the stats accessors and Collect() are
-// safe from any thread.
+// or Stop(). stalled(), the stats accessors and Collect() are safe from
+// any thread.
 
 #ifndef LTC_INGEST_INGEST_PIPELINE_H_
 #define LTC_INGEST_INGEST_PIPELINE_H_
@@ -75,45 +65,6 @@ namespace ltc {
 
 class SnapshotStore;
 
-/// What the router does when a shard's ring is full.
-enum class BackpressureMode {
-  kBlock,  // wait for the worker to free space; counted drops on a stall
-  kDrop,   // discard the record and count it; bounded producer latency
-};
-
-/// The pipeline's summarized condition. Ordered by severity: the metric
-/// gauge exports the enum value, so alerts can threshold on it.
-enum class IngestHealth {
-  kHealthy = 0,   // no shedding, no latched stall
-  kDegraded = 1,  // a lane is shedding
-  kStalled = 2,   // a bounded wait expired, no complete Flush() since
-};
-
-/// "healthy" / "degraded" / "stalled".
-const char* IngestHealthName(IngestHealth health);
-
-/// Producer-side overload shedding knobs (see IngestConfig::shed).
-struct ShedPolicy {
-  /// Master switch; shedding applies only under kBlock backpressure
-  /// (kDrop already has bounded producer latency).
-  bool enabled = false;
-
-  /// Queue-depth fractions of ring capacity. Depth at or above high for
-  /// `sustain` consecutive pushes starts shedding; depth at or below
-  /// low for `sustain` consecutive pushes ends it (hysteresis).
-  double high_watermark = 0.9;
-  double low_watermark = 0.5;
-
-  /// Consecutive per-lane push observations (one per Push, one per
-  /// PushBatch slice that routes records to the lane) required to flip
-  /// state — one transient full ring does not start a shed.
-  uint32_t sustain = 3;
-
-  /// While shedding, admit one record in this many (and only when the
-  /// ring has room right now); the rest are counted as shed.
-  uint32_t admit_one_in = 8;
-};
-
 struct IngestConfig {
   /// Per-shard ring capacity in records (rounded up to a power of two).
   size_t ring_capacity = 1 << 14;
@@ -122,32 +73,27 @@ struct IngestConfig {
   /// to Ltc::InsertBatch at once.
   size_t drain_batch = 512;
 
-  BackpressureMode backpressure = BackpressureMode::kBlock;
-
-  /// Escape hatch for kBlock push waits and Flush() waits: once a lane
-  /// has made NO progress for this long (wall time, microseconds), the
-  /// wait gives up, stalled() latches true and (for a blocked push) the
-  /// stuck records are counted as dropped. A dead worker thus surfaces
-  /// as an observable error instead of an infinite producer wait. Lane
-  /// progress (records the ring accepts or the worker applies) restarts
-  /// the bound, so only silence counts.
+  /// Escape hatch for push waits on a full ring and Flush() waits: once
+  /// a lane has made NO progress for this long (wall time,
+  /// microseconds), the wait gives up, stalled() latches true and (for
+  /// a blocked push) the stuck records are counted as dropped. A dead
+  /// worker thus surfaces as an observable error instead of an infinite
+  /// producer wait. Lane progress (records the ring accepts or the
+  /// worker applies) restarts the bound, so only silence counts.
   uint64_t stall_timeout_usec = 2'000'000;
-
-  /// Overload shedding under sustained queue pressure (off by default).
-  ShedPolicy shed;
 };
 
 /// Per-shard operational counters (see IngestPipeline::ShardStatsOf).
 struct IngestShardStats {
   uint64_t enqueued = 0;     // records accepted into the ring
-  uint64_t dropped = 0;      // records discarded (kDrop, or a kBlock stall)
-  uint64_t shed = 0;         // records rejected by overload shedding
+  uint64_t dropped = 0;      // records discarded by an expired push wait
   uint64_t drained = 0;      // records applied to the shard table
   uint64_t batches = 0;      // InsertBatch calls the worker issued
   uint64_t flushes = 0;      // Flush() waits this lane completed
-  bool shedding = false;     // lane currently in probabilistic admission
   size_t queue_depth = 0;    // ring occupancy at sampling time (racy)
   size_t ring_capacity = 0;
+  // Always 0: nothing sheds. Kept for its one reader, perfbench/e2e_bench.cc.
+  static constexpr uint64_t shed = 0;
 };
 
 class IngestPipeline {
@@ -171,8 +117,7 @@ class IngestPipeline {
   /// next is routed, so every ring fills while the batch is still being
   /// routed and each ring is published to once per slice instead of once
   /// per record — feed the pipeline in batches whenever the stream
-  /// allows. Shedding observes each lane's depth once per slice. Under
-  /// kBlock, once a lane's bounded wait expires, the rest of that lane's
+  /// allows. Once a lane's bounded wait expires, the rest of that lane's
   /// records in this batch are counted as dropped without waiting again.
   void PushBatch(std::span<const Record> records);
 
@@ -226,13 +171,6 @@ class IngestPipeline {
   /// cleared by the next Flush() that applies every accepted record.
   bool stalled() const { return stalled_.load(std::memory_order_acquire); }
 
-  /// Current condition: Stalled while the stall latch is set, Degraded
-  /// while any lane sheds, Healthy otherwise. Any thread.
-  IngestHealth health() const;
-
-  /// Total records rejected by overload shedding across shards.
-  uint64_t TotalShed() const;
-
   /// Fault-injection seam: HangWorkerForTest(shard, suspended) on every
   /// lane. Any thread.
   void SuspendWorkersForTest(bool suspended);
@@ -251,11 +189,10 @@ class IngestPipeline {
   /// destructor. After Stop() the pipeline accepts no more records.
   void Stop();
 
-  /// Total records accepted across shards (excludes drops and sheds).
+  /// Total records accepted across shards (excludes drops).
   uint64_t TotalEnqueued() const;
 
-  /// Total records discarded by kDrop backpressure or a stalled kBlock
-  /// push.
+  /// Total records discarded by push waits that expired on a stalled lane.
   uint64_t TotalDropped() const;
 
   /// Throws std::out_of_range when `shard` >= num_shards().
@@ -263,8 +200,8 @@ class IngestPipeline {
 
   /// Publishes the ltc_ingest_* families (docs/TELEMETRY.md) into
   /// `registry` from the pipeline's own counters: per-shard
-  /// enqueued / dropped / shed / drained / batches / flushes,
-  /// queue-depth and ring-capacity gauges, the stalled and health gauges,
+  /// enqueued / dropped / drained / batches / flushes, queue-depth and
+  /// ring-capacity gauges, the stalled gauge,
   /// the checkpoint totals and the Flush()/Checkpoint() latency
   /// histograms. Every family appears even before any traffic. Any
   /// thread, at any time: every counter it reads is atomic.
@@ -286,14 +223,7 @@ class IngestPipeline {
     alignas(64) std::atomic<uint64_t> enqueued{0};
     std::atomic<uint64_t> dropped{0};
     std::atomic<uint64_t> flushes{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<bool> shedding{false};
-    uint64_t shed_tick = 0;     // admission counter (producer only)
-    uint32_t over_streak = 0;   // consecutive pushes above high (producer)
-    uint32_t under_streak = 0;  // consecutive pushes below low (producer)
-    bool gave_up = false;  // kBlock wait expired in this PushBatch (producer)
-    size_t high_threshold = 0;  // records; fixed after construction
-    size_t low_threshold = 0;
+    bool gave_up = false;  // push wait expired in this PushBatch (producer)
 
     // Worker-written, plus the test seams the worker polls.
     alignas(64) std::atomic<uint64_t> drained{0};
@@ -306,18 +236,14 @@ class IngestPipeline {
 
   void WorkerLoop(uint32_t shard_index);
 
-  // Pushes one shard's routed run, honouring backpressure; the records
-  // not accepted are counted as dropped or shed. Returns false when a
-  // kBlock wait expired (stall latched).
+  // Pushes one shard's routed run, waiting on a full ring; the records
+  // not accepted are counted as dropped. Returns false when the wait
+  // expired (stall latched).
   bool PushRun(Lane& lane, std::span<const Record> run);
-  void PushRunShedding(Lane& lane, std::span<const Record> run);
-  void UpdateShedState(Lane& lane);
 
   // "shard 1: queue_depth 64/64, drained 100/164; shard 3: ..." for
   // every lane with an undrained backlog.
   std::string StallDetail() const;
-
-  bool AnyShedding() const;
 
   ShardedLtc& sink_;
   IngestConfig config_;

@@ -1,9 +1,8 @@
 // Ingest under injected failure: a dead worker stays dead and its lane
-// stalls, the stall latch clears on the next complete Flush(), the
-// Healthy → Degraded → Stalled health machine, overload shedding
-// accounting, and the seeded end-to-end chaos run that drives hangs and
-// I/O fault bursts against a live pipeline and then proves the
-// recovered state against the sequential oracle.
+// stalls, the stall latch clears on the next complete Flush(), and the
+// seeded end-to-end chaos run that drives hangs and I/O fault bursts
+// against a live pipeline and then proves the recovered state against
+// the sequential oracle.
 //
 // Everything here composes existing seams (KillWorkerForTest,
 // HangWorkerForTest, FailpointFs) through the ChaosInjector; every run
@@ -87,7 +86,6 @@ TEST(ChaosSupervisor, DisabledSupervisionLeavesDeadWorkersDead) {
 
   EXPECT_FALSE(pipeline.Flush());  // bounded wait expires
   EXPECT_TRUE(pipeline.stalled());
-  EXPECT_EQ(pipeline.health(), IngestHealth::kStalled);
 
   // Stop() still applies every accepted record via its inline drain.
   pipeline.Stop();
@@ -95,7 +93,7 @@ TEST(ChaosSupervisor, DisabledSupervisionLeavesDeadWorkersDead) {
   EXPECT_EQ(stats.drained, stats.enqueued);
 }
 
-// ------------------------------------------- stall latch + health machine
+// --------------------------------------------------------- stall latch
 
 TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
@@ -105,17 +103,16 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   // release, with a live worker, must complete.
   ingest.stall_timeout_usec = 250'000;
   IngestPipeline pipeline(sink, ingest);
-  EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy);
+  EXPECT_FALSE(pipeline.stalled());
 
   // Hang the worker, then push more than the ring holds: the bounded
-  // kBlock spin expires, so the stall latches and the overflow is
+  // push wait expires, so the stall latches and the overflow is
   // dropped (accounted, not lost silently).
   pipeline.HangWorkerForTest(0, true);
   std::vector<Record> records;
   for (ItemId i = 1; i <= 1'000; ++i) records.push_back({i, 0.0});
   pipeline.PushBatch(records);
   EXPECT_TRUE(pipeline.stalled());
-  EXPECT_EQ(pipeline.health(), IngestHealth::kStalled);
   EXPECT_GT(pipeline.TotalDropped(), 0u);
   EXPECT_EQ(pipeline.TotalEnqueued() + pipeline.TotalDropped(),
             records.size());
@@ -125,9 +122,6 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   pipeline.HangWorkerForTest(0, false);
   ASSERT_TRUE(pipeline.Flush());
   EXPECT_FALSE(pipeline.stalled()) << "stall latch never healed";
-  EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy)
-      << "health never returned to healthy; health="
-      << IngestHealthName(pipeline.health());
 
   // Post-heal the pipeline is fully usable: new pushes flush cleanly.
   pipeline.PushBatch({records.data(), 10});
@@ -137,112 +131,12 @@ TEST(ChaosSupervisor, StallLatchHealsOnceBacklogDrains) {
   EXPECT_EQ(stats.drained, stats.enqueued);
 }
 
-// --------------------------------------------------- overload shedding
-
-TEST(ChaosShedding, ActivatesUnderSustainedPressureAndRecovers) {
-  ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
-  IngestConfig ingest;
-  ingest.ring_capacity = 64;
-  ingest.shed.enabled = true;
-  ingest.shed.high_watermark = 0.75;  // 48 of 64
-  ingest.shed.low_watermark = 0.25;   // 16 of 64
-  ingest.shed.sustain = 2;
-  ingest.shed.admit_one_in = 4;
-  IngestPipeline pipeline(sink, ingest);
-  pipeline.SuspendWorkersForTest(true);  // paused, not dead
-
-  const Record record{7, 0.0};
-  std::vector<Record> fill(60, record);
-  pipeline.PushBatch(fill);  // depth 60, observed pre-push depth was 0
-  EXPECT_FALSE(pipeline.ShardStatsOf(0).shedding);
-
-  // Two more pushes observe depth >= high watermark: shedding starts on
-  // the second (sustain = 2), which is itself admitted probabilistically.
-  uint64_t pushed = 60;
-  while (!pipeline.ShardStatsOf(0).shedding) {
-    pipeline.Push(record.item, record.time);
-    ++pushed;
-    ASSERT_LT(pushed, 70u) << "shedding never engaged";
-  }
-  EXPECT_EQ(pipeline.health(), IngestHealth::kDegraded);
-  EXPECT_FALSE(pipeline.stalled());  // shedding is not a stall
-
-  // While shedding, the producer never blocks and every record is
-  // accounted: admitted (1 in 4, ring permitting) or counted shed.
-  for (int i = 0; i < 40; ++i) {
-    pipeline.Push(record.item, record.time);
-    ++pushed;
-  }
-  EXPECT_GT(pipeline.TotalShed(), 0u);
-  EXPECT_EQ(pipeline.TotalEnqueued() + pipeline.TotalDropped() +
-                pipeline.TotalShed(),
-            pushed);
-
-  // Revive the workers; once the queue drains below the low watermark
-  // for `sustain` observations, full admission returns.
-  pipeline.SuspendWorkersForTest(false);
-  ASSERT_TRUE(WaitUntil([&] {
-    const auto stats = pipeline.ShardStatsOf(0);
-    return stats.drained == stats.enqueued;
-  }));
-  while (pipeline.ShardStatsOf(0).shedding) {
-    pipeline.Push(record.item, record.time);
-    ++pushed;
-    ASSERT_TRUE(WaitUntil([&] {
-      const auto stats = pipeline.ShardStatsOf(0);
-      return stats.drained == stats.enqueued;
-    }));
-  }
-  EXPECT_EQ(pipeline.health(), IngestHealth::kHealthy);
-
-  // Post-recovery pushes take the normal lossless path again.
-  const uint64_t shed_before = pipeline.TotalShed();
-  pipeline.Push(record.item, record.time);
-  ++pushed;
-  EXPECT_EQ(pipeline.TotalShed(), shed_before);
-  EXPECT_TRUE(pipeline.Flush());
-  pipeline.Stop();
-  EXPECT_EQ(pipeline.TotalEnqueued() + pipeline.TotalDropped() +
-                pipeline.TotalShed(),
-            pushed);
-}
-
-TEST(ChaosShedding, MetricsExposeShedStateAndHealth) {
-  ShardedLtc sink(TimePaced(MakeZipfStream(100, 50, 1.0, 2, 1), 8 * 1024), 1);
-  IngestConfig ingest;
-  ingest.ring_capacity = 64;
-  ingest.shed.enabled = true;
-  ingest.shed.sustain = 1;
-  ingest.shed.high_watermark = 0.5;
-  IngestPipeline pipeline(sink, ingest);
-  telemetry::MetricsRegistry registry;
-  pipeline.SuspendWorkersForTest(true);
-
-  const Record record{3, 0.0};
-  std::vector<Record> fill(48, record);
-  pipeline.PushBatch(fill);
-  while (!pipeline.ShardStatsOf(0).shedding) pipeline.Push(record.item);
-  for (int i = 0; i < 10; ++i) pipeline.Push(record.item);
-  pipeline.Collect(registry);
-
-  const telemetry::Labels shard0{{"shard", "0"}};
-  EXPECT_GT(registry.CounterOf("ltc_ingest_shed_records_total", "", shard0)
-                .Value(),
-            0u);
-  EXPECT_EQ(registry.GaugeOf("ltc_ingest_shed_active", "", shard0).Value(),
-            1.0);
-  EXPECT_EQ(registry.GaugeOf("ltc_ingest_health_state", "").Value(),
-            static_cast<double>(IngestHealth::kDegraded));
-  pipeline.SuspendWorkersForTest(false);
-  pipeline.Stop();
-}
-
 // ------------------------------------------------- end-to-end chaos run
 
 // The acceptance run: a seeded ChaosInjector hangs workers and arms I/O
 // fault bursts while a real stream feeds through the pipeline with
 // periodic checkpoints. Once the hangs are released and a Flush()
-// completes, the pipeline must be healed (Healthy, stall latch clear),
+// completes, the pipeline must be healed (stall latch clear),
 // the final checkpoint must succeed through the backoff stack, and both
 // the live sink and the recovered snapshot must match the sequential
 // oracle exactly.
@@ -299,11 +193,8 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   // stall latch cleared by a complete flush.
   chaos.ReleaseAll();
   pipeline.Flush();
-  ASSERT_TRUE(WaitUntil([&] {
-    return !pipeline.stalled() &&
-           pipeline.health() == IngestHealth::kHealthy;
-  })) << "pipeline never healed; health="
-      << IngestHealthName(pipeline.health());
+  ASSERT_TRUE(WaitUntil([&] { return !pipeline.stalled(); }))
+      << "pipeline never healed";
 
   // The final checkpoint must land, through retries if need be.
   fs.Arm(FailpointFs::Failure::kWriteError, fs.mutating_ops(), 0,
@@ -316,8 +207,7 @@ TEST(ChaosEndToEnd, SelfHealsAndMatchesSequentialOracle) {
   pipeline.Stop();
 
   // Healing is visible in the counters.
-  EXPECT_EQ(registry.GaugeOf("ltc_ingest_health_state", "").Value(),
-            static_cast<double>(IngestHealth::kHealthy));
+  EXPECT_EQ(registry.GaugeOf("ltc_ingest_stalled", "").Value(), 0.0);
 
   // Nothing lost, nothing double-applied, despite every injected fault:
   // the live sink is bit-identical to the sequential oracle.

@@ -138,7 +138,7 @@ TEST_F(IngestCheckpointTest, QueueDepthNeverExceedsCapacityOrUnderflows) {
   ShardedLtc sink(SmallConfig(), 2);
   IngestConfig config;
   config.ring_capacity = 64;
-  config.backpressure = BackpressureMode::kDrop;
+  config.stall_timeout_usec = 10'000;  // suspended lanes give up quickly
   IngestPipeline pipeline(sink, config);
   pipeline.SuspendWorkersForTest(true);
   const auto records = MakeRecords(500);

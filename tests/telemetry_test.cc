@@ -595,11 +595,6 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   // A blocked push gives up after 250 ms of silence; the later Flush()
   // waits for live workers, and no scheduling delay lasts that long.
   config.stall_timeout_usec = 250'000;
-  // A full ring starts a shed on the second consecutive observation, so
-  // the first push that meets it waits out its bounded wait instead.
-  config.shed.enabled = true;
-  config.shed.high_watermark = 1.0;
-  config.shed.sustain = 2;
   IngestPipeline pipeline(sharded, config);
   FailpointFs fs(SystemFs());
   FakeClock clock;
@@ -614,7 +609,6 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   pipeline.SuspendWorkersForTest(true);
   while (pipeline.ShardStatsOf(0).queue_depth < 64) pipeline.Push(item);
   pipeline.Push(item);  // the ring stays full: dropped, stall latched
-  pipeline.Push(item);  // second observation of a full ring: shed
   pipeline.SuspendWorkersForTest(false);
   // Too few to fill a ring again: no second bounded wait can expire.
   for (ItemId i = 1; i <= 20; ++i) pipeline.Push(i);
@@ -638,16 +632,12 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
               stats.enqueued);
     EXPECT_EQ(Published(registry, "ltc_ingest_dropped_total", shard),
               stats.dropped);
-    EXPECT_EQ(Published(registry, "ltc_ingest_shed_records_total", shard),
-              stats.shed);
     EXPECT_EQ(Published(registry, "ltc_ingest_drained_total", shard),
               stats.drained);
     EXPECT_EQ(Published(registry, "ltc_ingest_batches_total", shard),
               stats.batches);
     EXPECT_EQ(Published(registry, "ltc_ingest_flushes_total", shard),
               stats.flushes);
-    EXPECT_EQ(Published(registry, "ltc_ingest_shed_active", shard),
-              stats.shedding ? 1.0 : 0.0);
     EXPECT_EQ(Published(registry, "ltc_ingest_queue_depth", shard),
               stats.queue_depth);
     EXPECT_EQ(Published(registry, "ltc_ingest_ring_capacity", shard),
@@ -656,7 +646,6 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
   }
   // The drive did what it claims.
   EXPECT_EQ(pipeline.ShardStatsOf(0).dropped, 1u);
-  EXPECT_GE(pipeline.ShardStatsOf(0).shed, 1u);  // until the ring drains
   EXPECT_EQ(store.SaveRetries(), 1u);
   EXPECT_EQ(Published(registry, "ltc_ingest_checkpoints_total",
                       {{"result", "ok"}}),
@@ -666,8 +655,6 @@ TEST(CollectOneSource, IngestPipelinePublishesItsOwnCounters) {
             pipeline.CheckpointFailures());
   EXPECT_EQ(Published(registry, "ltc_ingest_stalled"),
             pipeline.stalled() ? 1.0 : 0.0);
-  EXPECT_EQ(Published(registry, "ltc_ingest_health_state"),
-            static_cast<double>(pipeline.health()));
   // Every Flush() call recorded one latency: the explicit one and the
   // checkpoint's.
   EXPECT_EQ(flushes, 2u);

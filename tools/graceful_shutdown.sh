@@ -47,8 +47,8 @@ grep -q "interrupted by signal 15" cli.err \
   || fail "deterministic: missing shutdown notice: $(cat cli.err)"
 [ -e ck.bin ] || fail "deterministic: no checkpoint written"
 [ -s metrics.prom ] || fail "deterministic: no metrics exposition written"
-grep -q "ltc_ingest_health_state" metrics.prom \
-  || fail "deterministic: exposition is missing the health gauge"
+grep -q "ltc_ingest_stalled" metrics.prom \
+  || fail "deterministic: exposition is missing the stalled gauge"
 "$CLI" --threads 2 --load ck.bin --csv trace.txt > out.csv 2> recover.err \
   || fail "deterministic: reload failed: $(cat recover.err)"
 head -1 out.csv | grep -q "item,frequency" \

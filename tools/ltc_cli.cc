@@ -318,8 +318,9 @@ int RunAggregator(const CliOptions& options, TraceSession& trace_session,
   server::AggregatorCore aggregator(config, &hub, options.agg_stale_after);
   metrics.Add(aggregator);  // collected after the server stops
 
-  // Pushed sketches carry bare item ids (each pusher's interner is
-  // local), so the merged view speaks numeric keys.
+  // Only numeric traces push (a token trace's ids are per-run), so
+  // pushed sketches carry bare item ids and the merged view speaks
+  // numeric keys.
   server::NumericKeyCodec codec;
   auto server = StartServer(options, hub, codec, /*num_shards=*/0,
                             &aggregator, metrics);
